@@ -31,6 +31,8 @@ from repro.core.errors import (
     ConnectionError_,
     FormatError,
     HeuristicFailure,
+    LPInfeasibilityProof,
+    NodeLimitExceeded,
     ReproError,
     RoutingInfeasibleError,
     ValidationError,
@@ -122,4 +124,5 @@ __all__ = [
     # errors
     "ReproError", "ChannelError", "ConnectionError_", "FormatError",
     "HeuristicFailure", "RoutingInfeasibleError", "ValidationError",
+    "NodeLimitExceeded", "LPInfeasibilityProof",
 ]

@@ -17,7 +17,12 @@ from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
 from repro.core.dp import route_dp
 from repro.core.dp_types import route_dp_track_types
-from repro.core.errors import HeuristicFailure, RoutingInfeasibleError
+from repro.core.errors import (
+    HeuristicFailure,
+    LPInfeasibilityProof,
+    NodeLimitExceeded,
+    RoutingInfeasibleError,
+)
 from repro.core.exact import route_exact, route_exact_optimal
 from repro.core.greedy import route_one_segment_greedy, route_two_segment_tracks_greedy
 from repro.core.left_edge import route_left_edge_identical
@@ -158,9 +163,8 @@ def route(
                 route_dp_track_types(channel, connections, max_segments, weight),
                 max_segments,
             )
-        except RoutingInfeasibleError as exc:
-            if "node limit" not in str(exc):
-                raise
+        except NodeLimitExceeded:
+            pass
     if channel.n_tracks <= _DP_TRACK_LIMIT:
         try:
             # Clean cuts (all-track switch boundaries nothing spans) make
@@ -178,17 +182,17 @@ def route(
                 route_dp(channel, connections, max_segments, weight),
                 max_segments,
             )
-        except RoutingInfeasibleError as exc:
-            if "node limit" not in str(exc):
-                raise
+        except NodeLimitExceeded:
+            pass
     if weight is None:
         try:
             return _validated(
                 route_lp(channel, connections, max_segments), max_segments
             )
-        except HeuristicFailure as exc:
-            if "proves" in str(exc):
-                raise RoutingInfeasibleError(str(exc)) from exc
+        except LPInfeasibilityProof as exc:
+            raise RoutingInfeasibleError(str(exc)) from exc
+        except HeuristicFailure:
+            pass
         return _validated(route_exact(channel, connections, max_segments), max_segments)
     return _validated(
         route_exact_optimal(channel, connections, weight, max_segments),

@@ -20,8 +20,9 @@ from typing import Optional
 
 from repro.core.channel import SegmentedChannel, Track
 from repro.core.connection import ConnectionSet
-from repro.core.errors import RoutingInfeasibleError
+from repro.core.errors import NodeLimitExceeded, RoutingInfeasibleError
 from repro.core.routing import Routing, WeightFunction
+from repro.substrate.deadline import check
 
 __all__ = ["TypedDPStats", "route_dp_track_types", "route_dp_track_types_with_stats"]
 
@@ -103,7 +104,9 @@ def _run_typed_dp(
     for i, c in enumerate(conns):
         next_ref = conns[i + 1].left if i + 1 < M else channel.n_columns + 1
         nxt: dict[tuple, Node] = {}
-        for frontier, (cost, _, _) in levels[-1].items():
+        for n, (frontier, (cost, _, _)) in enumerate(levels[-1].items()):
+            if not n % 16:  # deadline check every 16 frontiers
+                check()
             for tau in range(n_types):
                 if not seg_ok[i][tau]:
                     continue
@@ -140,7 +143,7 @@ def _run_typed_dp(
         nodes_per_level.append(len(nxt))
         total_nodes += len(nxt)
         if total_nodes > node_limit:
-            raise RoutingInfeasibleError(
+            raise NodeLimitExceeded(
                 f"typed assignment graph exceeded node limit ({node_limit})"
             )
         levels.append(nxt)

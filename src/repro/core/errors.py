@@ -39,11 +39,30 @@ class RoutingInfeasibleError(ReproError):
     """
 
 
+class NodeLimitExceeded(RoutingInfeasibleError):
+    """An exact search gave up after expanding its node limit.
+
+    Raised by the assignment-graph DPs and the backtracking solvers when
+    the state space outgrows ``node_limit``.  Unlike its base class it
+    proves nothing: feasibility is undecided, and the ``auto`` dispatch
+    falls through to the next algorithm.
+    """
+
+
 class HeuristicFailure(ReproError):
     """A heuristic algorithm failed to find a routing.
 
     Unlike :class:`RoutingInfeasibleError` this carries no proof of
     infeasibility; an exact algorithm may still succeed.
+    """
+
+
+class LPInfeasibilityProof(HeuristicFailure):
+    """The LP relaxation's optimum is below ``M``.
+
+    The relaxation upper-bounds the 0-1 optimum, so this failure of the
+    LP heuristic *does* prove that no complete routing exists; the
+    ``auto`` dispatch reports it as :class:`RoutingInfeasibleError`.
     """
 
 
@@ -78,8 +97,8 @@ class EngineTimeout(EngineError):
 
     Raised by the engine when every rung of the degradation ladder
     (e.g. ``exact`` → ``lp`` → ``greedy``) ran out of time before
-    producing a valid routing.  The request never hangs: the worker
-    process is terminated when the deadline expires.
+    producing a valid routing, and by :func:`repro.substrate.deadline.check`
+    when a solver reaches one of its budget checks after the deadline.
     """
 
 
@@ -96,7 +115,7 @@ class WorkerCrashError(EngineError):
     """A worker process died before delivering a result.
 
     Covers genuine crashes (segfault, OOM kill, ``os._exit``), workers
-    killed by the hang watchdog, and pipe EOFs from deadline children
+    killed by the hang watchdog, and pipe EOFs from portfolio candidates
     that exited without reporting.  Retryable by default: the crash says
     nothing about the instance, only about the worker.
     """

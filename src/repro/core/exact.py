@@ -22,9 +22,10 @@ from typing import Optional
 
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import RoutingInfeasibleError
+from repro.core.errors import NodeLimitExceeded, RoutingInfeasibleError
 from repro.core.geometry import ChannelGeometry, channel_geometry
 from repro.core.routing import Routing, WeightFunction
+from repro.substrate.deadline import check
 
 __all__ = ["route_exact", "count_routings", "route_exact_optimal"]
 
@@ -78,8 +79,8 @@ def route_exact(
     ------
     RoutingInfeasibleError
         If the search space is exhausted without a routing (a proof of
-        infeasibility), or if ``node_limit`` backtracking nodes are
-        expended first (reported distinctly in the message).
+        infeasibility), or, as :class:`NodeLimitExceeded`, if
+        ``node_limit`` backtracking nodes are expended first.
     """
     connections.check_within(channel)
     M = len(connections)
@@ -102,10 +103,12 @@ def route_exact(
             return True
         nodes += 1
         if nodes > node_limit:
-            raise RoutingInfeasibleError(
+            raise NodeLimitExceeded(
                 f"exact search exceeded node limit ({node_limit}); "
                 f"feasibility undecided"
             )
+        if not nodes & 1023:  # deadline check every 1024 nodes
+            check()
         start_row, end_row = starts[i], ends[i]
         floor = assignment[i - 1] if identical_to_previous(i) else -1
         for t in candidates[i]:
@@ -153,7 +156,7 @@ def count_routings(
             return 1
         nodes += 1
         if nodes > node_limit:
-            raise RoutingInfeasibleError(
+            raise NodeLimitExceeded(
                 f"counting exceeded node limit ({node_limit})"
             )
         start_row, end_row = starts[i], ends[i]
@@ -218,9 +221,11 @@ def route_exact_optimal(
             return
         nodes += 1
         if nodes > node_limit:
-            raise RoutingInfeasibleError(
+            raise NodeLimitExceeded(
                 f"optimal search exceeded node limit ({node_limit})"
             )
+        if not nodes & 1023:  # deadline check every 1024 nodes
+            check()
         start_row, end_row = starts[i], ends[i]
         # Explore cheapest assignments first to tighten the bound early.
         for t in sorted(candidates[i], key=lambda t: weights[i][t]):

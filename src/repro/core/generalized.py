@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import RoutingInfeasibleError
+from repro.core.errors import NodeLimitExceeded, RoutingInfeasibleError
 from repro.core.routing import GeneralizedRouting
 
 __all__ = [
@@ -261,7 +261,7 @@ def _run(
         nodes_per_level.append(len(nxt))
         total_nodes += len(nxt)
         if total_nodes > node_limit:
-            raise RoutingInfeasibleError(
+            raise NodeLimitExceeded(
                 f"generalized assignment graph exceeded node limit ({node_limit})"
             )
         levels.append(nxt)

@@ -69,9 +69,10 @@ from dataclasses import dataclass
 
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import ReproError, RoutingInfeasibleError
+from repro.core.errors import NodeLimitExceeded, ReproError, RoutingInfeasibleError
 from repro.core.geometry import channel_geometry
 from repro.core.routing import Routing, WeightFunction
+from repro.substrate.deadline import check
 from typing import Optional
 
 __all__ = [
@@ -99,6 +100,11 @@ KERNEL_ENV_VAR = "REPRO_KERNELS"
 #: (``dp_nodes_pruned``).  Plain ints mutated under the GIL: exact within
 #: a worker process, best-effort across threads.
 _counters = {"dp_nodes_pruned": 0}
+
+#: Deadline checks (:mod:`repro.substrate.deadline`) per level: every Nth
+#: frontier expansion, and every Nth Pareto item (each scans the level).
+_CHECK_FRONTIERS = 64
+_CHECK_PARETO = 32
 
 
 def active_kernel() -> str:
@@ -196,8 +202,8 @@ def _infeasible_error(
     )
 
 
-def _node_limit_error(node_limit: int) -> RoutingInfeasibleError:
-    return RoutingInfeasibleError(
+def _node_limit_error(node_limit: int) -> NodeLimitExceeded:
+    return NodeLimitExceeded(
         f"assignment graph exceeded node limit ({node_limit}); "
         f"use route_exact or the LP heuristic for this instance"
     )
@@ -274,7 +280,9 @@ def run_dp_reference(
         end_row = blocked_end[i]
         w_row = weights[i]
         left = c.left
-        for frontier, (cost, _, _) in current.items():
+        for n, (frontier, (cost, _, _)) in enumerate(current.items()):
+            if not n % _CHECK_FRONTIERS:
+                check()
             for t in range(T):
                 # x[t] <= left(c): the segment of track t present in column
                 # left(c) is unoccupied.  Frontier values are always segment
@@ -427,7 +435,9 @@ def run_dp_packed(
         nxt_get = nxt.get
         row = cand[i]
         edges = 0
-        for X, node in current.items():
+        for n, (X, node) in enumerate(current.items()):
+            if not n % _CHECK_FRONTIERS:
+                check()
             XH = X | H
             # Guard bit of field t survives the subtraction iff
             # x[t] >= operand's field, so:
@@ -478,7 +488,9 @@ def run_dp_packed(
                 items = sorted(nxt.items())
             survivors: list[int] = []
             keep: dict[int, tuple[float, int, int]] = {}
-            for key, val in items:
+            for n, (key, val) in enumerate(items):
+                if not n % _CHECK_PARETO:
+                    check()
                 KH = key | H
                 for s in survivors:
                     if (KH - s) & H == H:  # key >= s on every track
@@ -685,6 +697,7 @@ def run_dp_vectorized(
 
         if n * len(row) >= _VEC_MIN_EDGES:
             # ---------------- numpy path: the whole level at once.
+            check()
             if keys_np is None:
                 keys_np = np.array(keys_list, dtype=u64)
                 cost_np = np.array(cost_list, dtype=np.float64)
@@ -755,6 +768,7 @@ def run_dp_vectorized(
                 KH = keys | nH
                 dominated = np.zeros(width, dtype=bool)
                 for s0 in range(1, width, _VEC_PRUNE_BLOCK):
+                    check()
                     s1 = min(width, s0 + _VEC_PRUNE_BLOCK)
                     dom = ((KH[s0:s1, None] - keys[None, :s1]) & nH) == nH
                     dom &= np.arange(s1)[None, :] < np.arange(s0, s1)[:, None]
@@ -785,6 +799,8 @@ def run_dp_vectorized(
             nxt_get = nxt.get
             edges = 0
             for si in range(n):
+                if not si % _CHECK_FRONTIERS:
+                    check()
                 X = keys_list[si]
                 XH = X | H
                 feas = H & ~(XH - L1)
@@ -822,7 +838,9 @@ def run_dp_vectorized(
             if prune and len(items) > 1:
                 survivors: list[int] = []
                 kept_items: list[tuple[int, tuple[float, int, int, int]]] = []
-                for key, val in items:
+                for j, (key, val) in enumerate(items):
+                    if not j % _CHECK_PARETO:
+                        check()
                     KH = key | H
                     for s in survivors:
                         if (KH - s) & H == H:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import HeuristicFailure
+from repro.core.errors import HeuristicFailure, LPInfeasibilityProof
 from repro.core.routing import Routing
 from repro.substrate.simplex import LinearProgram
 
@@ -140,6 +140,9 @@ def route_lp(
 
     Raises
     ------
+    LPInfeasibilityProof
+        If the relaxation's optimum is below ``M``, which proves that no
+        complete routing exists.
     HeuristicFailure
         If neither the relaxation nor the guided rounding produces a
         complete routing.  This is *not* a proof of infeasibility.
@@ -153,9 +156,9 @@ def route_lp(
         raise HeuristicFailure(f"LP solve failed: {result.status}")
     if result.objective < M - 1e-6:
         # The relaxation upper-bounds the 0-1 optimum, so objective < M
-        # actually *proves* infeasibility; still raised as HeuristicFailure
-        # for interface uniformity, with the proof noted in the message.
-        raise HeuristicFailure(
+        # actually *proves* infeasibility; still a HeuristicFailure for
+        # interface uniformity, typed so callers can act on the proof.
+        raise LPInfeasibilityProof(
             f"LP optimum {result.objective:.3f} < M={M}: relaxation proves "
             f"no complete routing exists"
         )

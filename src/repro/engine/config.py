@@ -43,8 +43,9 @@ class EngineConfig:
         ``0`` means :func:`default_jobs`.
     timeout:
         Per-request deadline in seconds, or ``None`` for no deadline.
-        With a deadline, each algorithm attempt runs in a forked child
-        that is terminated when its share of the budget expires.
+        With a deadline, each algorithm attempt gets a share of the
+        budget, which the solvers check cooperatively at their natural
+        boundaries (see :mod:`repro.substrate.deadline`).
     ladder:
         Degradation sequence tried after the primary algorithm times
         out.  Each rung gets the *remaining* budget; when the last rung

@@ -45,7 +45,7 @@ from repro.engine.cache import (
 )
 from repro.engine.cache_store import CacheStore
 from repro.engine.config import WEIGHT_SPECS, EngineConfig
-from repro.engine.executor import RouteTask, TaskOutcome, make_pool, run_task
+from repro.engine.executor import RouteTask, TaskOutcome
 from repro.engine.metrics import Metrics
 from repro.engine.portfolio import race, select_candidates
 from repro.engine.resilience.checkpoint import CheckpointJournal, record_key

@@ -1,4 +1,4 @@
-"""Task execution: worker pool, per-task seeding, and deadline enforcement.
+"""Task execution: worker pool, per-task seeding, and solve deadlines.
 
 Everything that crosses a process boundary lives here as a top-level,
 picklable object or function:
@@ -10,11 +10,9 @@ picklable object or function:
   and degradation bookkeeping;
 * :func:`run_task` — executes one task, walking the degradation ladder
   (primary → ``lp`` → ``greedy1`` by default) when a deadline is set;
-* :func:`attempt_route` — a single algorithm attempt.  With a deadline it
-  forks a child process and terminates it when the budget expires, which
-  is the only way to bound the exact search on an adversarial
-  (Theorem-1) instance: pure-Python solvers cannot be interrupted
-  cooperatively mid-recursion.
+* :func:`attempt_route` — a single algorithm attempt, in process, under
+  a cooperative :mod:`repro.substrate.deadline`: even the exact search on
+  a Theorem-1/2 instance stops with :class:`EngineTimeout` soon after.
 
 Weight objectives cross process boundaries *by name* (``"length"`` /
 ``"segments"``) or as an explicit picklable
@@ -30,12 +28,9 @@ scheduling order.
 Tracing: when a task carries a ``trace_id``, :func:`run_task` builds a
 local :class:`~repro.obs.SpanCollector` (span-ID prefix ``w<attempt>:``)
 and records a ``task`` span with one ``attempt`` child per degradation
-rung and ``kernel.dp`` children for each DP kernel run.  Deadline
-children collect their own spans (prefix ``w<attempt>:<algorithm>:``)
-and ship them back as the final element of the pipe message; the parent
-adopts them, so the finished :class:`TaskOutcome` carries every span the
-task produced anywhere.  With no ``trace_id`` (the default) none of this
-code runs.
+rung, a ``solve`` span under each attempt, and ``kernel.dp`` children
+for each DP kernel run; the finished :class:`TaskOutcome` carries them
+all.  With no ``trace_id`` (the default) none of this code runs.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,7 +51,7 @@ from repro.core.kernels import (
 )
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import EngineTimeout, ReproError, WorkerCrashError
+from repro.core.errors import EngineTimeout, ReproError
 from repro.core.routing import (
     WeightFunction,
     occupied_length_weight,
@@ -65,6 +59,7 @@ from repro.core.routing import (
 )
 from repro.engine.weights import WeightTable
 from repro.obs.trace import SpanCollector
+from repro.substrate.deadline import bounded
 from repro.substrate.prng import derive_seed
 
 __all__ = [
@@ -73,12 +68,8 @@ __all__ = [
     "run_task",
     "attempt_route",
     "resolve_weight",
-    "make_pool",
     "worker_initializer",
 ]
-
-#: Grace period after SIGTERM before SIGKILL on a deadline-expired child.
-_TERM_GRACE = 0.5
 
 
 def resolve_weight(
@@ -107,7 +98,7 @@ def resolve_weight(
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
-    """Fork when available (fast, no pickling of the deadline payload);
+    """Fork when available (fast, no pickling of the worker payload);
     spawn otherwise — the payload is picklable either way."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -203,39 +194,6 @@ def _solve(
     return routing.assignment, consume_dp_pruned()
 
 
-def _deadline_entry(conn, channel, connections, max_segments, weight_spec,
-                    algorithm, trace=None) -> None:
-    """Child-process entry: solve and report over the pipe.
-
-    ``trace`` is ``(trace_id, parent_span_id, prefix)`` when the parent
-    is tracing; the child's spans ride back as the final element of the
-    pipe message.
-    """
-    collector = span = None
-    if trace is not None:
-        trace_id, parent_span, prefix = trace
-        collector = SpanCollector(trace_id, prefix)
-        span = collector.start(
-            "solve", parent_id=parent_span, algorithm=algorithm, pid=os.getpid()
-        )
-    try:
-        assignment, pruned = _solve(channel, connections, max_segments,
-                                    weight_spec, algorithm,
-                                    collector, span.span_id if span else "")
-        if span is not None:
-            span.finish()
-        conn.send(("ok", assignment, pruned,
-                   collector.drain() if collector else []))
-    except BaseException as exc:  # report, never crash silently
-        if span is not None:
-            span.set(error=type(exc).__name__)
-            span.finish()
-        conn.send(("err", type(exc).__name__, str(exc),
-                   collector.drain() if collector else []))
-    finally:
-        conn.close()
-
-
 def attempt_route(
     channel: SegmentedChannel,
     connections: ConnectionSet,
@@ -245,83 +203,34 @@ def attempt_route(
     timeout: Optional[float],
     collector: Optional[SpanCollector] = None,
     parent_id: str = "",
-    child_prefix: str = "",
 ) -> tuple[tuple[int, ...], int]:
-    """Run one algorithm attempt, hard-bounded by ``timeout`` seconds.
+    """Run one algorithm attempt in process, bounded by ``timeout`` seconds.
 
-    Returns ``(assignment, dp_nodes_pruned)``; the pruning count crosses
-    the pipe from deadline children so the parent's metrics see it.
-
-    Without a timeout the attempt runs in-process.  With one, it runs in
-    a forked child that is terminated (then killed) when the deadline
-    expires, raising :class:`EngineTimeout`.  With a collector, in-process
-    solves record kernel spans directly and deadline children ship their
-    spans back over the pipe (adopted even when the child errored).
+    Returns ``(assignment, dp_nodes_pruned)``.  With a timeout the solve
+    raises :class:`EngineTimeout` at its first deadline check past the
+    budget; without one it runs unbounded (within any deadline the
+    calling thread already carries).  A timed attempt re-raises any
+    other exception (e.g. a ``RecursionError`` from deep backtracking)
+    as ``ReproError("<Type>: <message>")``, so it fails this request
+    alone rather than the batch it runs in.  With a collector the
+    attempt records a ``solve`` span under ``parent_id``, with the DP
+    kernel spans beneath it.
     """
-    if timeout is None:
-        return _solve(channel, connections, max_segments, weight_spec,
-                      algorithm, collector, parent_id)
-    if timeout <= 0:
+    if timeout is not None and timeout <= 0:
         raise EngineTimeout(f"no budget left for algorithm {algorithm!r}")
-    trace = (
-        (collector.trace_id, parent_id, child_prefix)
-        if collector is not None else None
-    )
-    ctx = _mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_deadline_entry,
-        args=(child_conn, channel, connections, max_segments, weight_spec,
-              algorithm, trace),
-    )
-    try:
-        proc.start()
-    except BaseException:
-        parent_conn.close()
-        child_conn.close()
-        if hasattr(proc, "close"):
-            proc.close()
-        raise
-    # Close the parent's copy of the write end immediately: it is what
-    # turns a dead child into an EOF instead of a silent poll() stall.
-    child_conn.close()
-    try:
-        if not parent_conn.poll(timeout):
-            raise EngineTimeout(
-                f"algorithm {algorithm!r} exceeded its {timeout:.3g}s deadline"
-            )
+    with bounded(timeout):
         try:
-            message = parent_conn.recv()
-        except EOFError:
-            raise WorkerCrashError(
-                f"worker for algorithm {algorithm!r} died without a result"
-            ) from None
-    finally:
-        parent_conn.close()
-        _reap(proc)
-    if collector is not None and len(message) > 3:
-        collector.adopt(message[3])
-    if message[0] == "ok":
-        return message[1], message[2]
-    error_type, error = message[1], message[2]
-    cls = getattr(_errors, error_type, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        raise cls(error)
-    raise ReproError(f"{error_type}: {error}")
-
-
-def _reap(proc) -> None:
-    """Terminate a (possibly still running) child and collect it."""
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(_TERM_GRACE)
-        if proc.is_alive():  # pragma: no cover - SIGTERM almost always lands
-            proc.kill()
-            proc.join()
-    else:
-        proc.join()
-    if hasattr(proc, "close"):
-        proc.close()
+            if collector is None:
+                return _solve(channel, connections, max_segments,
+                              weight_spec, algorithm)
+            with collector.span("solve", parent_id, algorithm=algorithm,
+                                pid=os.getpid()) as span:
+                return _solve(channel, connections, max_segments,
+                              weight_spec, algorithm, collector, span.span_id)
+        except Exception as exc:
+            if timeout is None or isinstance(exc, ReproError):
+                raise
+            raise ReproError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def run_task(task: RouteTask, attempt: int = 1) -> TaskOutcome:
@@ -379,9 +288,7 @@ def run_task(task: RouteTask, attempt: int = 1) -> TaskOutcome:
             assignment, pruned = attempt_route(
                 task.channel, task.connections, task.max_segments,
                 task.weight_spec, algorithm, budget,
-                collector,
-                attempt_span.span_id if attempt_span else "",
-                f"w{attempt}:{algorithm}:",
+                collector, attempt_span.span_id if attempt_span else "",
             )
         except EngineTimeout:
             if attempt_span is not None:
@@ -437,13 +344,3 @@ def worker_initializer(base_seed: int) -> None:
     any stray pre-task code does so from a defined state.
     """
     random.seed(derive_seed(base_seed, "engine-worker-init"))
-
-
-def make_pool(jobs: int, base_seed: int) -> ProcessPoolExecutor:
-    """Create the engine's worker pool."""
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=_mp_context(),
-        initializer=worker_initializer,
-        initargs=(base_seed,),
-    )

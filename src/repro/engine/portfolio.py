@@ -91,8 +91,7 @@ def _race_entry(conn, channel, connections, max_segments, weight_spec,
     """
     import os
 
-    from repro.core.api import route
-    from repro.core.kernels import consume_dp_pruned
+    from repro.core.routing import Routing
     from repro.engine.executor import _solve
     from repro.obs.trace import SpanCollector
 
@@ -105,26 +104,18 @@ def _race_entry(conn, channel, connections, max_segments, weight_spec,
             pid=os.getpid(),
         )
     try:
+        assignment, pruned = _solve(
+            channel, connections, max_segments, weight_spec, algorithm,
+            collector, span.span_id if span else "",
+        )
         weight = resolve_weight(weight_spec, channel, connections)
-        if collector is not None:
-            assignment, pruned = _solve(
-                channel, connections, max_segments, weight_spec, algorithm,
-                collector, span.span_id,
-            )
-            from repro.core.routing import Routing
-
-            routing = Routing(channel, connections, assignment)
-        else:
-            consume_dp_pruned()
-            routing = route(
-                channel, connections, max_segments=max_segments, weight=weight,
-                algorithm=algorithm,
-            )
-            pruned = consume_dp_pruned()
-        total = routing.total_weight(weight) if weight is not None else 0.0
+        total = (
+            Routing(channel, connections, assignment).total_weight(weight)
+            if weight is not None else 0.0
+        )
         if span is not None:
             span.finish()
-        conn.send(("ok", routing.assignment, total, pruned,
+        conn.send(("ok", assignment, total, pruned,
                    collector.drain() if collector else []))
     except BaseException as exc:
         if span is not None:

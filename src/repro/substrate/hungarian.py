@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.substrate.deadline import check
+
 __all__ = ["hungarian", "AssignmentInfeasible"]
 
 
@@ -61,6 +63,7 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[float, list[int]]:
     way = [0] * (m + 1)
 
     for i in range(1, n + 1):
+        check()  # one deadline check per row
         p[0] = i
         j0 = 0
         minv = [INF] * (m + 1)

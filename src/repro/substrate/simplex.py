@@ -24,6 +24,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.substrate.deadline import check
+
 __all__ = ["LinearProgram", "SimplexResult", "simplex_solve"]
 
 
@@ -129,6 +131,7 @@ def simplex_solve(
     basis = list(range(n, n + m))
 
     for _ in range(max_iterations):
+        check()  # one deadline check per pivot
         row_obj = tableau[m, : n + m]
         # Bland's rule: entering variable = lowest index with negative
         # reduced cost.

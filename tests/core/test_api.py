@@ -90,3 +90,52 @@ class TestDispatch:
         )
         r = route(ch, cs, max_segments=1)
         r.validate(1)
+
+
+class TestTypedFallthrough:
+    """The auto dispatch branches on error types, not message text."""
+
+    def test_reworded_node_limit_still_falls_through(self, monkeypatch):
+        import functools
+
+        import repro.core.api as api
+        import repro.core.kernels as kernels
+        from repro.core.decompose import clean_cuts
+        from repro.generators.random_instances import (
+            random_channel,
+            random_feasible_instance,
+        )
+
+        ch = random_channel(6, 30, 5.0, seed=0)
+        cs = random_feasible_instance(ch, 8, seed=50)
+        # Reaches the general DP branch: too many types for the typed DP,
+        # few enough tracks for the DP, and nothing to decompose.
+        assert len(ch.track_types()) > api._TYPED_DP_TYPE_LIMIT
+        assert ch.n_tracks <= api._DP_TRACK_LIMIT
+        assert not clean_cuts(ch, cs)
+
+        original = kernels._node_limit_error
+
+        def reworded(node_limit):
+            exc = original(node_limit)
+            exc.args = (f"assignment graph outgrew {node_limit} states",)
+            return exc
+
+        monkeypatch.setattr(kernels, "_node_limit_error", reworded)
+        monkeypatch.setattr(
+            api, "route_dp", functools.partial(api.route_dp, node_limit=1)
+        )
+        with pytest.raises(RoutingInfeasibleError, match="outgrew"):
+            api.route_dp(ch, cs, 2)
+        route(ch, cs, max_segments=2).validate(2)
+
+    def test_lp_proof_is_reported_as_infeasible(self):
+        from repro.core.errors import LPInfeasibilityProof
+
+        # 13 distinct 3-segment tracks (past both DP limits) and 14
+        # full-width connections: the LP relaxation proves infeasibility.
+        ch = channel_from_breaks(30, [(2 + t, 14 + t) for t in range(13)])
+        cs = ConnectionSet.from_spans([(1, 30)] * 14)
+        with pytest.raises(RoutingInfeasibleError, match="proves") as info:
+            route(ch, cs)
+        assert isinstance(info.value.__cause__, LPInfeasibilityProof)

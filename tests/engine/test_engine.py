@@ -12,6 +12,7 @@ from repro.core.connection import ConnectionSet
 from repro.core.errors import EngineTimeout, RoutingInfeasibleError
 from repro.core.npc import build_two_segment_instance, normalize_nmts
 from repro.engine import EngineConfig, RoutingEngine, select_candidates
+from repro.engine.executor import attempt_route
 from repro.generators.paper_examples import (
     example1_nmts,
     fig3_channel,
@@ -23,6 +24,7 @@ from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
 )
+from repro.substrate.deadline import check
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -192,6 +194,14 @@ class TestDeterminism:
 
 
 class TestDeadlines:
+    @pytest.mark.parametrize("algorithm", ["exact", "dp", "dp_types"])
+    def test_attempt_stops_soon_after_its_budget(self, algorithm):
+        channel, conns = adversarial_instance()
+        start = time.monotonic()
+        with pytest.raises(EngineTimeout):
+            attempt_route(channel, conns, 2, None, algorithm, 0.2)
+        assert time.monotonic() - start < 0.45
+
     def test_adversarial_instance_never_hangs(self):
         channel, conns = adversarial_instance()
         engine = RoutingEngine()
@@ -226,15 +236,17 @@ class TestDeadlines:
         routing.validate(1)
         assert engine.stats()["counters"].get("timeouts", 0) == 0
 
-    @pytest.mark.skipif(not _HAS_FORK, reason="degradation fake needs fork")
     def test_degrades_to_ladder_on_primary_timeout(self, monkeypatch):
-        # Make the exact solver hang; the fork-based deadline child
-        # inherits the patch, so "exact" times out and the engine must
-        # fall back to the ladder and still return a valid routing.
-        def hang(*args, **kwargs):
-            time.sleep(60)
+        # Make the exact solver spin until its budget runs out (a slow
+        # solver that honours its deadline checks), so "exact" times out
+        # and the engine must fall back to the ladder and still return a
+        # valid routing.
+        def slow(*args, **kwargs):
+            while True:
+                check()
+                time.sleep(0.001)
 
-        monkeypatch.setattr("repro.core.api.route_exact", hang)
+        monkeypatch.setattr("repro.core.api.route_exact", slow)
         engine = RoutingEngine(EngineConfig(ladder=("greedy1",)))
         routing = engine.route(
             fig3_channel(), fig3_connections(), max_segments=1,
@@ -244,6 +256,33 @@ class TestDeadlines:
         counters = engine.stats()["counters"]
         assert counters["timeouts"] == 1
         assert counters["fallbacks"] == 1
+
+    def test_solver_crash_fails_only_its_request(self, monkeypatch):
+        # A timed attempt turns any exception (deep backtracking can hit
+        # RecursionError) into that request's typed error; on the
+        # sequential path it must not escape route_many and fail the
+        # rest of the batch.
+        import repro.core.api as api
+
+        poison = fig8_connections()
+        real_exact = api.route_exact
+
+        def exact(channel, connections, *args, **kwargs):
+            if connections == poison:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_exact(channel, connections, *args, **kwargs)
+
+        monkeypatch.setattr(api, "route_exact", exact)
+        instances = paper_corpus()
+        results = RoutingEngine().route_many(
+            instances, algorithm="exact", timeout=5.0, jobs=1,
+        )
+        poisoned = [i for i, (_, c) in enumerate(instances) if c == poison]
+        assert poisoned == [1]
+        assert not results[1].ok
+        assert results[1].error_type == "ReproError"
+        assert results[1].error.startswith("RecursionError: ")
+        assert all(r.ok for i, r in enumerate(results) if i != 1)
 
     def test_batch_timeout_reports_not_raises(self):
         channel, conns = adversarial_instance()

@@ -215,7 +215,8 @@ class TestDpNodesPruned:
         from repro.engine.executor import RouteTask, run_task
 
         ch, cs, expected = self._pruning_instance()
-        # timeout forces the forked-child path: the count crosses the pipe.
+        # A timeout bounds the solve with a deadline; the count must still
+        # reach the outcome.
         outcome = run_task(RouteTask(
             index=0, channel=ch, connections=cs, algorithm="dp", timeout=30.0,
         ))

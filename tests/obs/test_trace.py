@@ -136,7 +136,7 @@ class TestEndToEndTrace:
                 s["span_id"].startswith("w") for s in trace.spans
             ), sorted(names)
             assert "task" in names
-            # The deadline child's solve span rode the pipe back.
+            # Each attempt's in-process solve span came back with the task.
             assert "solve" in names
 
     def test_cache_hit_trace_replays(self):

@@ -11,7 +11,8 @@ rate, active DP kernel) so the performance trajectory of
 :mod:`repro.engine` is trackable across PRs, and folds in the
 reference-vs-packed kernel timings from
 :mod:`repro.analysis.kernel_bench` (also available standalone as
-``segroute bench``).
+``segroute bench``) and the deadline-overrun sweep quoted in
+docs/ENGINE.md.
 
 Usage:
     python tools/collect_bench_tables.py                 # runs the benches
@@ -144,6 +145,53 @@ def run_engine_bench(jobs: int = 0) -> dict:
         "kernel": kernel,
         "entries": entries,
         "kernels": run_kernel_bench(quick=True)["batches"],
+        "deadline_overrun": run_deadline_overrun_bench(),
+    }
+
+
+#: Deadline-overrun sweep: 20 budgets from 50 to 430 ms per exact solver.
+OVERRUN_BUDGETS_MS = tuple(range(50, 431, 20))
+
+
+def run_deadline_overrun_bench() -> dict:
+    """Measure how far a deadline-bounded solve runs past its budget.
+
+    Runs :func:`repro.engine.executor.attempt_route` on the Theorem-2
+    reduction of the paper's Example-1 NMTS instance (each exact solver
+    needs seconds on it) once per budget in :data:`OVERRUN_BUDGETS_MS`
+    for ``exact``, ``dp`` and ``dp_types``, and returns the overrun
+    (elapsed minus budget; 0 for a solve that finishes early) p50 and
+    max per solver in ms.
+    """
+    import statistics
+
+    from repro.core.errors import EngineTimeout
+    from repro.core.npc import build_two_segment_instance, normalize_nmts
+    from repro.engine.executor import attempt_route
+    from repro.generators.paper_examples import example1_nmts
+
+    norm, _, _ = normalize_nmts(example1_nmts())
+    built = build_two_segment_instance(norm)
+    overrun_ms = {}
+    for algorithm in ("exact", "dp", "dp_types"):
+        overruns = []
+        for budget_ms in OVERRUN_BUDGETS_MS:
+            started = time.monotonic()
+            try:
+                attempt_route(built.channel, built.connections, 2, None,
+                              algorithm, budget_ms / 1000.0)
+            except EngineTimeout:
+                pass
+            elapsed_ms = (time.monotonic() - started) * 1000.0
+            overruns.append(max(0.0, elapsed_ms - budget_ms))
+        overrun_ms[algorithm] = {
+            "p50": round(statistics.median(overruns), 1),
+            "max": round(max(overruns), 1),
+        }
+    return {
+        "cpus": os.cpu_count(),
+        "budgets_ms": list(OVERRUN_BUDGETS_MS),
+        "overrun_ms": overrun_ms,
     }
 
 
@@ -612,10 +660,16 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_engine:
         payload = run_engine_bench(jobs=args.jobs)
         Path(args.engine_json).write_text(json.dumps(payload, indent=2) + "\n")
+        overrun = payload["deadline_overrun"]["overrun_ms"]
         print(
             f"wrote {args.engine_json} "
             f"({len(payload['entries'])} corpus shapes, "
-            f"{payload['cpus']} cpus)"
+            f"{payload['cpus']} cpus; deadline overrun p50/max ms: "
+            + ", ".join(
+                f"{alg} {row['p50']}/{row['max']}"
+                for alg, row in overrun.items()
+            )
+            + ")"
         )
 
     if not args.no_pipeline:
