@@ -55,7 +55,8 @@ class EngineConfig:
         When true, ``route`` races the shape-selected candidate
         algorithms concurrently and returns the first valid routing
         (or the best-weight one when a weight objective is set),
-        terminating the losers.
+        terminating the losers.  Race winners are never cached (the
+        winner depends on timing); cached answers still serve races.
     cache:
         Enable the canonical instance cache.
     cache_size:

@@ -384,7 +384,10 @@ class RoutingEngine:
         outcome.duration = time.monotonic() - start
         if collector is not None:
             collector.adopt(outcome.spans)
-        self._absorb(result, outcome, key)
+        # A race winner depends on timing, and the key has no portfolio
+        # part: caching it would hand later non-race requests (and any
+        # engine sharing cache_dir) a timing-dependent answer.
+        self._absorb(result, outcome, None if portfolio else key)
         self._finish_trace(collector, root, result)
         return result
 
@@ -870,7 +873,10 @@ class RoutingEngine:
             replay_span.finish()
 
     def _absorb(self, result: BatchResult, outcome: TaskOutcome, key) -> None:
-        """Fold a task outcome into a batch result + metrics + cache."""
+        """Fold a task outcome into a batch result + metrics + cache.
+
+        ``key=None`` leaves the cache untouched.
+        """
         result.duration = outcome.duration
         result.fallbacks = outcome.fallbacks
         result.timed_out = outcome.timed_out
@@ -897,7 +903,7 @@ class RoutingEngine:
         result.routing = routing
         result.algorithm = outcome.algorithm
         self.metrics.observe(f"latency.{outcome.algorithm}", outcome.duration)
-        if self.config.cache:
+        if self.config.cache and key is not None:
             self.cache.store(key, result.channel, outcome.assignment)
 
     @staticmethod

@@ -9,8 +9,9 @@ token-bucket rate limiting, and deadline-aware load shedding
 into :meth:`~repro.engine.RoutingEngine.route_many` windows
 (:mod:`.batcher`), the server itself with health/readiness probes, a
 Prometheus ``/metrics`` endpoint, and graceful drain on SIGTERM
-(:mod:`.server`), a sync + async client SDK (:mod:`.client`), and an
-open-/closed-loop load generator (:mod:`.loadgen`).
+(:mod:`.server`), an async client SDK and the blocking client that
+runs it (:mod:`.client`), and an open-/closed-loop load generator
+(:mod:`.loadgen`).
 
 For fault tolerance, the replicated tier: a :class:`ReplicaSet`
 supervises N engine replica processes (heartbeats, restart with

@@ -1,41 +1,45 @@
-"""Client SDK for the routing service: async fan-in and a sync wrapper.
+"""Client SDK for the routing service: one async client, run blocking too.
 
 :class:`AsyncRoutingClient` owns one connection and one background
 reader task; because the protocol matches responses to requests by
 ``id``, any number of coroutines can have requests in flight at once —
 ``route_many`` is just ``asyncio.gather`` over ``route`` and exercises
-the server's micro-batcher for real.  :class:`RoutingClient` is the
-blocking one-request-at-a-time wrapper for scripts and the CLI.
+the server's micro-batcher for real.  :class:`RoutingClient`, the
+blocking client for scripts and the CLI, is not a second
+implementation: it drives an :class:`AsyncRoutingClient` on a private
+event loop, one call at a time, so the two cannot drift apart.
 
-Both clients retry connection establishment with the engine's own
+Connection establishment is retried with the engine's own
 deterministic backoff policy
 (:func:`repro.engine.resilience.retry.backoff_delay`), so "client
 started before server finished binding" — the normal CI race — is
 absorbed rather than surfaced.
 
-Mid-request connection loss is *typed and immediate*: in-flight futures
-fail with :class:`~repro.core.errors.ConnectionLostError` the moment the
+A request that outlives the client's ``timeout`` raises a
+:class:`~repro.core.errors.ServeError`; the connection stays usable
+and a late reply to the abandoned request is dropped.  Mid-request
+connection loss is *typed and immediate*: in-flight futures fail with
+:class:`~repro.core.errors.ConnectionLostError` the moment the
 transport dies instead of waiting out the request timeout.  Because
 every protocol operation is idempotent (routing is a deterministic
-function of the instance), the async client first tries to reconnect
-and transparently *resend* whatever was in flight
+function of the instance), the client first tries to reconnect and
+transparently *resend* whatever was in flight
 (``resend_on_reconnect=True``, the default); only when reconnection
 fails — or resending is disabled, as the failover router requires —
 does the typed error surface.
 
-With a ``trace_sink``, every ``route`` call emits a ``client.request``
-span (prefix ``cl``) whose trace ID is derived from ``(seed, request
-id)`` via :func:`~repro.obs.trace.derive_trace_id`, and the trace
-context rides the request so the server's and engine's spans land in
-the *same* trace — ``repro.obs.report`` can then reassemble the full
-client → server → worker tree.
+With a ``trace_sink``, every async ``route`` call emits a
+``client.request`` span (prefix ``cl``) whose trace ID is derived from
+``(seed, request id)`` via :func:`~repro.obs.trace.derive_trace_id`, and
+the trace context rides the request so the server's and engine's spans
+land in the *same* trace — ``repro.obs.report`` can then reassemble the
+full client → server → worker tree.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import socket
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -75,7 +79,6 @@ from repro.serve.wire import (
     WireCodec,
     decode_ok_frame,
     read_wire_message,
-    read_wire_message_sync,
 )
 
 __all__ = ["ServeResult", "AsyncRoutingClient", "RoutingClient"]
@@ -728,12 +731,19 @@ class AsyncRoutingClient:
 
 
 class RoutingClient:
-    """Blocking single-connection client (one request at a time).
+    """Blocking client: an :class:`AsyncRoutingClient` driven to completion.
 
-    A thin socket wrapper for scripts and the CLI::
+    For scripts and the CLI::
 
         with RoutingClient(host, port) as client:
             result = client.route(channel, connections, max_segments=2)
+
+    Every call runs the async client's coroutine on a private event
+    loop (created by :meth:`connect`, closed by :meth:`close`), so
+    framing, negotiation, typed errors, timeouts and reconnect-and-resend
+    are the async client's, one request at a time.  Not callable from a
+    thread that is running an event loop (asyncio refuses to nest
+    loops); use :class:`AsyncRoutingClient` there.
     """
 
     def __init__(
@@ -756,74 +766,42 @@ class RoutingClient:
         self.connect_policy = connect_policy
         self.seed = seed
         self.wire = wire
-        self._wire_active = WIRE_V1
-        self._codec = WireCodec()
-        self._sock: Optional[socket.socket] = None
-        self._file = None
-        self._ids = itertools.count(1)
+        self._client: Optional[AsyncRoutingClient] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def _run(self, method, *args, **kwargs):
+        """Drive ``method(async_client, ...)`` to completion."""
+        if self._loop is None:
+            raise ServeError("client is not connected (call connect())")
+        return self._loop.run_until_complete(
+            method(self._client, *args, **kwargs)
+        )
 
     def connect(self) -> None:
-        last_error: Optional[Exception] = None
-        for attempt in range(1, self.connect_policy.max_attempts + 1):
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout
-                )
-                self._file = self._sock.makefile("rb")
-                break
-            except OSError as exc:
-                last_error = exc
-                self._sock = None
-                if attempt < self.connect_policy.max_attempts:
-                    time.sleep(backoff_delay(
-                        self.connect_policy, attempt, self.seed, "connect"
-                    ))
-        else:
-            raise ServeError(
-                f"cannot connect to {self.host}:{self.port}: {last_error}"
-            )
-        if self.wire != "v1":
-            self._negotiate()
-
-    def _negotiate(self) -> None:
-        """Blocking ``hello``; a pre-``hello`` server answers with a
-        typed error, which reads as "v1 only"."""
+        """Open the connection (retrying with backoff) and negotiate."""
+        self.close()
+        self._loop = asyncio.new_event_loop()
+        self._client = AsyncRoutingClient(
+            self.host, self.port, timeout=self.timeout,
+            connect_policy=self.connect_policy, seed=self.seed,
+            wire=self.wire,
+        )
         try:
-            response = self._call(hello_request("hello"))
-        except ProtocolError:
-            response = {}
-        versions = response.get("versions") or []
-        caps = response.get("caps") or []
-        if (
-            response.get("status") == STATUS_OK
-            and 2 in versions
-            and CAP_WIRE_V2 in caps
-        ):
-            self._wire_active = WIRE_V2
-        elif self.wire == "v2":
-            raise ServeError(
-                f"server at {self.host}:{self.port} does not speak "
-                f"{CAP_WIRE_V2} (versions={versions!r}, caps={caps!r})"
-            )
-
-    @property
-    def negotiated_wire(self) -> str:
-        """Framing currently used for route requests (``v1``/``v2``)."""
-        return self._wire_active
-
-    def wire_stats(self) -> dict:
-        """Serde accounting for this connection."""
-        snapshot = self._codec.stats.snapshot()
-        snapshot["negotiated"] = self._wire_active
-        return snapshot
+            self._run(AsyncRoutingClient.connect)
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        """Close the connection and the private event loop."""
+        if self._loop is None:
+            return
+        try:
+            if self._client is not None:
+                self._loop.run_until_complete(self._client.close())
+        finally:
+            self._loop.close()
+            self._loop = None
 
     def __enter__(self) -> "RoutingClient":
         self.connect()
@@ -832,48 +810,27 @@ class RoutingClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    def _call_bytes(self, data: bytes) -> dict:
-        if self._sock is None or self._file is None:
+    @property
+    def negotiated_wire(self) -> str:
+        """Framing currently used for route requests (``v1``/``v2``)."""
+        if self._client is None:
+            return WIRE_V1
+        return self._client.negotiated_wire
+
+    def wire_stats(self) -> dict:
+        """Serde accounting for this connection."""
+        if self._client is None:
             raise ServeError("client is not connected (call connect())")
-        try:
-            self._sock.sendall(data)
-            item = read_wire_message_sync(self._file)
-        except OSError as exc:
-            raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} lost "
-                f"mid-request: {exc}"
-            ) from exc
-        if item is None:
-            raise ConnectionLostError("server closed the connection")
-        wire, payload = item
-        if wire == WIRE_V2:
-            ftype, body = payload
-            self._codec.note_in(wire, HEADER_SIZE + len(body))
-            if ftype == FRAME_OK:
-                return self._codec.timed_decode(decode_ok_frame, body)
-            if ftype == FRAME_JSON:
-                return self._codec.timed_decode(decode, body)
-            raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
-        self._codec.note_in(wire, len(payload))
-        return self._codec.timed_decode(decode, payload)
+        return self._client.wire_stats()
 
-    def _call(self, message: dict) -> dict:
-        return self._call_bytes(self._codec.encode_line(message))
-
-    def _next_id(self) -> str:
-        return f"s{next(self._ids)}"
-
+    # ------------------------------------------------------------------
     def ping(self) -> dict:
-        return self._call({
-            "v": PROTOCOL_VERSION, "id": self._next_id(), "op": "ping",
-        })
+        """Round-trip a ``ping``; returns the raw response message."""
+        return self._run(AsyncRoutingClient.ping)
 
     def stats(self) -> dict:
-        response = self._call({
-            "v": PROTOCOL_VERSION, "id": self._next_id(), "op": "stats",
-        })
-        return response.get("stats", {})
+        """Fetch the server's merged metrics snapshot."""
+        return self._run(AsyncRoutingClient.stats)
 
     def route(
         self,
@@ -885,25 +842,15 @@ class RoutingClient:
         algorithm: str = "auto",
         deadline_ms: Optional[float] = None,
     ) -> ServeResult:
-        request_id = self._next_id()
-        if self._wire_active == WIRE_V2:
-            data = self._codec.encode_route(
-                request_id, channel, connections,
-                max_segments=max_segments, weight=weight,
-                algorithm=algorithm, deadline_ms=deadline_ms,
-            )
-        else:
-            data = self._codec.encode_line(route_request(
-                request_id, channel, connections,
-                max_segments=max_segments, weight=weight,
-                algorithm=algorithm, deadline_ms=deadline_ms,
-            ))
-        started = time.monotonic()
-        response = self._call_bytes(data)
-        return _parse_response(response, time.monotonic() - started)
+        """Route one instance (see :meth:`AsyncRoutingClient.route`)."""
+        return self._run(
+            AsyncRoutingClient.route, channel, connections,
+            max_segments=max_segments, weight=weight, algorithm=algorithm,
+            deadline_ms=deadline_ms,
+        )
 
     # ------------------------------------------------------------------
-    # job ops (blocking mirrors of the async client's)
+    # job ops
     # ------------------------------------------------------------------
     def submit_job(
         self,
@@ -913,25 +860,18 @@ class RoutingClient:
         deadline_s: Optional[float] = None,
     ) -> dict:
         """Submit a chip-routing job; returns its status payload."""
-        if job_id is None:
-            job_id = _new_job_id()
-        response = self._call(job_submit_request(
-            self._next_id(), job_id, _job_spec_payload(spec),
-            deadline_s=deadline_s,
-        ))
-        return _job_payload(response)
+        return self._run(
+            AsyncRoutingClient.submit_job, spec,
+            job_id=job_id, deadline_s=deadline_s,
+        )
 
     def job_status(self, job_id: str) -> dict:
         """Fetch one job's status payload."""
-        return _job_payload(
-            self._call(job_status_request(self._next_id(), job_id))
-        )
+        return self._run(AsyncRoutingClient.job_status, job_id)
 
     def cancel_job(self, job_id: str) -> dict:
         """Request cancellation; returns the status payload."""
-        return _job_payload(
-            self._call(job_cancel_request(self._next_id(), job_id))
-        )
+        return self._run(AsyncRoutingClient.cancel_job, job_id)
 
     def job_results(
         self,
@@ -941,10 +881,9 @@ class RoutingClient:
         limit: Optional[int] = None,
     ) -> dict:
         """Fetch one cursor page of a finished job's channel records."""
-        response = self._call(job_results_request(
-            self._next_id(), job_id, start=start, limit=limit,
-        ))
-        return _job_payload(response, "results")
+        return self._run(
+            AsyncRoutingClient.job_results, job_id, start=start, limit=limit
+        )
 
     def fetch_job_records(self, job_id: str, *, page_size: int = 128) -> dict:
         """Fetch every results page; ``records`` holds the full list."""

@@ -1,14 +1,19 @@
 """The failover/hedging front router for a replicated serving tier.
 
-A :class:`RoutingRouter` speaks the same protocol as
-:class:`~repro.serve.server.RoutingServer` — both the newline-delimited
-JSON framing and the binary wire v2 of :mod:`repro.serve.wire`, so
-clients cannot tell the difference — but instead of routing, it
-*places* each request on one of N engine replicas and survives their
-deaths.  Forwarding is typed: the parsed request is re-encoded for the
-replica under whatever framing that replica connection negotiated, so
-binary-speaking clients stay binary end to end (and v1 clients still
-benefit when the router↔replica hop negotiates v2):
+A :class:`RoutingRouter` is a :class:`~repro.serve.server.ProtocolFront`,
+the same front door as :class:`~repro.serve.server.RoutingServer`: both
+framings, the typed protocol-error replies, ``ping`` / ``stats`` /
+``hello``, the admin probes and drain are the server's own code, so
+clients cannot tell the difference.  What the router supplies is what a
+route request and a ``job.*`` op do — instead of routing, it *places*
+each request on one of N engine replicas and survives their deaths —
+plus its readiness (it also needs a live replica), the ``replicas``
+field of its ``ping`` answer, and what drain releases (its replica
+clients and, when owned, the replica set).  Forwarding is typed: the
+parsed request is re-encoded for the replica under whatever framing
+that replica connection negotiated, so binary-speaking clients stay
+binary end to end (and v1 clients still benefit when the
+router↔replica hop negotiates v2):
 
 * **placement** — consistent hash of the canonical instance key
   (:func:`repro.engine.cache.canonical_key`) onto a ring of seeded
@@ -70,36 +75,18 @@ from repro.engine.cache import canonical_key
 from repro.engine.metrics import Metrics
 from repro.engine.resilience.faults import FaultPlan, corrupt_assignment
 from repro.engine.resilience.retry import RetryPolicy
-from repro.obs.prom import render_prometheus
 from repro.obs.trace import SpanCollector, TraceSink, derive_trace_id
 from repro.serve.admission import AdmissionController
 from repro.serve.client import AsyncRoutingClient
 from repro.serve.protocol import (
-    CAPABILITIES,
-    JOB_OPS,
-    PROTOCOL_VERSION,
     REJECTION_STATUSES,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_OVERLOADED,
-    SUPPORTED_VERSIONS,
-    decode,
-    encode,
     failure_response,
-    hello_response,
     parse_job_id,
-    parse_route_request,
 )
-from repro.serve.wire import (
-    FRAME_JSON,
-    FRAME_ROUTE,
-    WIRE_V1,
-    WIRE_V2,
-    FrameTooLargeError,
-    WireCodec,
-    decode_route_frame,
-    read_wire_message,
-)
+from repro.serve.server import Connection, ProtocolFront
 from repro.substrate.prng import derive_seed
 
 __all__ = [
@@ -289,7 +276,7 @@ _REPLICA_COUNTS = (
 )
 
 
-class RoutingRouter:
+class RoutingRouter(ProtocolFront):
     """Protocol front that places, fails over, and hedges across replicas.
 
     ``replica_set`` is anything with the
@@ -301,6 +288,10 @@ class RoutingRouter:
     set inside its own lifecycle (the CLI path).
     """
 
+    _REQUESTS = "serve.router.requests"
+    _WIRE_V2_REQUESTS = "serve.router.wire_v2_requests"
+    _PROTOCOL_ERRORS = "serve.router.protocol_errors"
+
     def __init__(
         self,
         replica_set,
@@ -311,6 +302,7 @@ class RoutingRouter:
         own_replica_set: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        super().__init__()
         self.replica_set = replica_set
         self.config = config or RouterConfig()
         self.trace_sink = trace_sink
@@ -348,15 +340,6 @@ class RoutingRouter:
         self._latencies: list[float] = []
         self._forward_ids = itertools.count(1)
         self._request_seq = 0
-        self.port: Optional[int] = None
-        self.http_port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._http: Optional[asyncio.base_events.Server] = None
-        self._ready = False
-        self._drained = False
-        self._stop: Optional[asyncio.Event] = None
-        self._inflight: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # placement
@@ -399,264 +382,39 @@ class RoutingRouter:
         ))
 
     # ------------------------------------------------------------------
-    # lifecycle (mirrors RoutingServer)
+    # front-door hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Start the owned replica set (if any) and bind both listeners."""
-        import json as _json
-        import os as _os
-
+    async def _open(self) -> None:
         if self.own_replica_set:
             await self.replica_set.start()
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self._http = await asyncio.start_server(
-            self._on_http, self.config.host, self.config.http_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.http_port = self._http.sockets[0].getsockname()[1]
-        self._ready = True
-        if self.config.port_file:
-            tmp = self.config.port_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                _json.dump({
-                    "port": self.port,
-                    "http_port": self.http_port,
-                    "pid": _os.getpid(),
-                }, handle)
-            _os.replace(tmp, self.config.port_file)
 
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (call from the event loop)."""
-        import signal as _signal
-
-        loop = asyncio.get_running_loop()
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    def request_drain(self) -> None:
-        """Ask the router to drain and stop (signal-handler safe)."""
-        self._ready = False
-        if self._stop is not None:
-            self._stop.set()
-
-    async def serve_forever(self) -> None:
-        assert self._stop is not None, "start() first"
-        await self._stop.wait()
-        await self.drain()
-
-    async def run(self) -> None:
-        """``start`` + signal handlers + ``serve_forever`` (the CLI path)."""
-        await self.start()
-        self.install_signal_handlers()
-        print(
-            f"routing {self.replica_set.n_replicas} replicas on "
-            f"{self.config.host}:{self.port} "
-            f"(admin http {self.config.host}:{self.http_port})",
-            flush=True,
-        )
-        await self.serve_forever()
-
-    async def drain(self) -> None:
-        """Stop accepting, flush in-flight, close clients and replicas."""
-        if self._drained:
-            return
-        self._drained = True
-        self._ready = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._inflight:
-            await asyncio.wait(
-                list(self._inflight), timeout=self.config.drain_grace
-            )
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-        if self._http is not None:
-            self._http.close()
-            await self._http.wait_closed()
+    async def _release(self) -> None:
         for client in self._clients.values():
             await client.close()
         self._clients.clear()
         if self.own_replica_set:
             await self.replica_set.stop()
 
-    async def __aenter__(self) -> "RoutingRouter":
-        await self.start()
-        return self
+    def _banner(self) -> str:
+        return f"routing {self.replica_set.n_replicas} replicas"
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.drain()
+    def _readiness(self) -> str:
+        """Ready needs a live replica as well as an undrained router."""
+        if not self._ready:
+            return "draining"
+        return "ready" if self._usable_indices() else "no live replicas"
 
-    # ------------------------------------------------------------------
-    # protocol connections
-    # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        codec = WireCodec()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    item = await read_wire_message(reader)
-                except FrameTooLargeError as exc:
-                    self.metrics.incr("serve.router.protocol_errors")
-                    await self._write(writer, write_lock, failure_response(
-                        None, STATUS_ERROR, "ProtocolError", str(exc)
-                    ), WIRE_V2, codec)
-                    break
-                if item is None:
-                    break
-                wire, payload = item
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_message(
-                        wire, payload, writer, write_lock, codec
-                    )
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        message: dict,
-        wire: str = WIRE_V1,
-        codec: Optional[WireCodec] = None,
-    ) -> None:
-        async with write_lock:
-            if writer.is_closing():
-                return
-            if wire == WIRE_V2 and codec is not None:
-                if (
-                    message.get("status") == STATUS_OK
-                    and "assignment" in message
-                ):
-                    data = codec.encode_ok(message)
-                else:
-                    data = codec.encode_json(message)
-            else:
-                data = encode(message)
-            writer.write(data)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-
-    async def _handle_message(
-        self,
-        wire: str,
-        payload,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        codec: WireCodec,
-    ) -> None:
-        if wire == WIRE_V2:
-            ftype, body = payload
-            if ftype == FRAME_ROUTE:
-                self.metrics.incr("serve.router.requests")
-                try:
-                    request = decode_route_frame(body)
-                except ProtocolError as exc:
-                    self.metrics.incr("serve.router.protocol_errors")
-                    await self._write(writer, write_lock, failure_response(
-                        None, STATUS_ERROR, "ProtocolError", str(exc)
-                    ), wire, codec)
-                    return
-                await self._handle_route_request(
-                    request, writer, write_lock, wire, codec
-                )
-                return
-            if ftype != FRAME_JSON:
-                self.metrics.incr("serve.router.protocol_errors")
-                await self._write(writer, write_lock, failure_response(
-                    None, STATUS_ERROR, "ProtocolError",
-                    f"unknown frame type 0x{ftype:02x}",
-                ), wire, codec)
-                return
-            line = body
-        else:
-            line = payload
-        try:
-            message = decode(line)
-        except ProtocolError as exc:
-            self.metrics.incr("serve.router.protocol_errors")
-            await self._write(writer, write_lock, failure_response(
-                None, STATUS_ERROR, "ProtocolError", str(exc)
-            ), wire, codec)
-            return
-        op = message.get("op")
-        if op == "ping":
-            await self._write(writer, write_lock, {
-                "v": PROTOCOL_VERSION,
-                "id": message.get("id"),
-                "status": STATUS_OK,
-                "pong": True,
-                "ready": self._ready and bool(self._usable_indices()),
-                "protocol": PROTOCOL_VERSION,
-                "versions": list(SUPPORTED_VERSIONS),
-                "caps": list(CAPABILITIES),
-                "replicas": self.replica_set.n_replicas,
-            }, wire, codec)
-        elif op == "stats":
-            await self._write(writer, write_lock, {
-                "v": PROTOCOL_VERSION,
-                "id": message.get("id"),
-                "status": STATUS_OK,
-                "stats": self.metrics_snapshot(),
-            }, wire, codec)
-        elif op == "hello":
-            await self._write(writer, write_lock, hello_response(
-                message.get("id"), message
-            ), wire, codec)
-        elif op in JOB_OPS:
-            await self._handle_job_message(
-                message, writer, write_lock, wire, codec
-            )
-        else:  # "route"
-            self.metrics.incr("serve.router.requests")
-            try:
-                request = parse_route_request(message)
-            except ProtocolError as exc:
-                self.metrics.incr("serve.router.protocol_errors")
-                await self._write(writer, write_lock, failure_response(
-                    message.get("id") if isinstance(message.get("id"), str)
-                    else None,
-                    STATUS_ERROR, "ProtocolError", str(exc),
-                ), wire, codec)
-                return
-            await self._handle_route_request(
-                request, writer, write_lock, wire, codec
-            )
+    def _ping(self, message: dict) -> dict:
+        return {
+            **super()._ping(message),
+            "replicas": self.replica_set.n_replicas,
+        }
 
     # ------------------------------------------------------------------
     # the job-affinity path
     # ------------------------------------------------------------------
-    async def _handle_job_message(
-        self,
-        message: dict,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        wire: str,
-        codec: WireCodec,
+    async def _handle_job(
+        self, op: str, message: dict, conn: Connection, wire: str
     ) -> None:
         """Forward one ``job.*`` op to the job's home replica."""
         self.metrics.incr("serve.router.job_requests")
@@ -664,22 +422,19 @@ class RoutingRouter:
         request_id = raw_id if isinstance(raw_id, str) else None
         if not self._ready:
             self.metrics.incr("serve.router.drain_refused")
-            await self._write(writer, write_lock, failure_response(
+            await conn.reply(failure_response(
                 request_id, STATUS_OVERLOADED,
                 "ServeError", "router is draining",
-            ), wire, codec)
+            ), wire)
             return
         try:
             job_id = parse_job_id(message)
         except ProtocolError as exc:
-            self.metrics.incr("serve.router.protocol_errors")
-            await self._write(writer, write_lock, failure_response(
-                request_id, STATUS_ERROR, "ProtocolError", str(exc)
-            ), wire, codec)
+            await self._protocol_error(conn, wire, exc, request_id)
             return
         response = dict(await self._forward_job(message, job_id))
         response["id"] = request_id
-        await self._write(writer, write_lock, response, wire, codec)
+        await conn.reply(response, wire)
 
     async def _forward_job(self, message: dict, job_id: str) -> dict:
         """Affinity forwarding: placement keyed ``job:<job_id>``.
@@ -724,21 +479,15 @@ class RoutingRouter:
     # ------------------------------------------------------------------
     # the forwarding path
     # ------------------------------------------------------------------
-    async def _handle_route_request(
-        self,
-        request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        wire: str,
-        codec: WireCodec,
+    async def _handle_route(
+        self, request, conn: Connection, wire: str, started: float
     ) -> None:
-        started = time.monotonic()
         if not self._ready:
             self.metrics.incr("serve.router.drain_refused")
-            await self._write(writer, write_lock, failure_response(
+            await conn.reply(failure_response(
                 request.request_id, STATUS_OVERLOADED,
                 "ServeError", "router is draining",
-            ), wire, codec)
+            ), wire)
             return
 
         collector = root = None
@@ -776,7 +525,7 @@ class RoutingRouter:
             root.set(status=status)
             root.finish()
             self.trace_sink.write_all(collector.drain())
-        await self._write(writer, write_lock, response, wire, codec)
+        await conn.reply(response, wire)
 
     async def _route_with_failover(
         self, request, collector, trace_id, parent_id
@@ -1092,7 +841,7 @@ class RoutingRouter:
                 await client.close()
 
     # ------------------------------------------------------------------
-    # stats + admin HTTP
+    # stats
     # ------------------------------------------------------------------
     def replica_counts(self) -> dict:
         """Per-replica routing counters merged with supervision state."""
@@ -1133,43 +882,3 @@ class RoutingRouter:
             "histograms": snap["histograms"],
             "replicas": replicas,
         }
-
-    async def _on_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            while True:  # drain headers
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/metrics":
-                code, body = 200, render_prometheus(self.metrics_snapshot())
-            elif path == "/healthz":
-                code, body = 200, "ok\n"
-            elif path == "/readyz":
-                ready = self._ready and bool(self._usable_indices())
-                code, body = (200, "ready\n") if ready else (
-                    503, "draining\n" if not self._ready
-                    else "no live replicas\n"
-                )
-            else:
-                code, body = 404, f"no such path: {path}\n"
-            reason = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}
-            payload = body.encode("utf-8")
-            writer.write(
-                f"HTTP/1.0 {code} {reason.get(code, 'OK')}\r\n"
-                f"Content-Type: text/plain; charset=utf-8\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n".encode("latin-1") + payload
-            )
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass

@@ -1,27 +1,36 @@
-"""The asyncio routing server.
+"""The asyncio routing server and the protocol front door it shares.
 
-One :class:`RoutingServer` owns one :class:`~repro.engine.RoutingEngine`
-(or wraps a caller-provided one), an
-:class:`~repro.serve.admission.AdmissionController`, and a
-:class:`~repro.serve.batcher.MicroBatcher`, and listens on two ports:
+:class:`ProtocolFront` is the front door of both the single server and
+the replicated :class:`~repro.serve.router.RoutingRouter`; it listens on
+two ports:
 
 * the **protocol port** speaks the newline-delimited JSON protocol of
   :mod:`repro.serve.protocol` and, per message, the binary wire-v2
   framing of :mod:`repro.serve.wire` (each response goes back in the
   framing of its request); requests on one connection are handled
-  concurrently and answered out of order (matched by ``id``);
+  concurrently and answered out of order (matched by ``id``).  The
+  front door decodes every message, answers ``ping`` / ``stats`` /
+  ``hello`` itself, replies to anything malformed with a typed
+  ``ProtocolError``, and hands parsed ``route`` requests and ``job.*``
+  ops to its subclass;
 * the **admin port** speaks just enough HTTP/1.0 for probes and
   scraping: ``GET /healthz`` (process liveness), ``GET /readyz``
-  (``200`` while accepting, ``503`` while draining), and
-  ``GET /metrics`` (Prometheus text exposition of the merged
-  serve + engine metrics, via
+  (``200`` while ready, ``503`` while draining), and ``GET /metrics``
+  (Prometheus text exposition of the subclass's merged metrics, via
   :func:`repro.obs.prom.render_prometheus`).
 
-Graceful drain (SIGTERM/SIGINT or :meth:`RoutingServer.request_drain`):
+One :class:`RoutingServer` owns one :class:`~repro.engine.RoutingEngine`
+(or wraps a caller-provided one), an
+:class:`~repro.serve.admission.AdmissionController`, a
+:class:`~repro.serve.batcher.MicroBatcher`, and the chip-job
+:class:`~repro.jobs.manager.JobManager`.
+
+Graceful drain (SIGTERM/SIGINT or :meth:`ProtocolFront.request_drain`):
 stop accepting, flip ``/readyz`` to 503, let every admitted request
-finish (bounded by ``drain_grace``), flush the batcher, close client
-connections, and close the engine — worker pools never leak past the
-server's lifetime.
+finish (bounded by ``drain_grace``), release the subclass's resources
+(the server flushes the batcher and closes the job manager and the
+engine, so worker pools never leak past the server's lifetime), then
+close client connections and the admin listener.
 
 With a trace sink, every routed request emits a ``serve.request`` span;
 when the client supplied trace context the span joins the *client's*
@@ -76,7 +85,6 @@ from repro.serve.protocol import (
 from repro.serve.wire import (
     FRAME_JSON,
     FRAME_ROUTE,
-    WIRE_V1,
     WIRE_V2,
     FrameTooLargeError,
     WireCodec,
@@ -84,7 +92,7 @@ from repro.serve.wire import (
     read_wire_message,
 )
 
-__all__ = ["ServeConfig", "RoutingServer"]
+__all__ = ["ServeConfig", "ProtocolFront", "RoutingServer"]
 
 
 @dataclass(frozen=True)
@@ -181,8 +189,343 @@ class ServeConfig:
             )
 
 
-class RoutingServer:
-    """Admission → micro-batch → engine, behind two asyncio listeners."""
+class Connection:
+    """The reply side of one protocol connection.
+
+    Every response goes back in the framing its request arrived in:
+    binary connections get ``ok`` route responses as packed FRAME_OK
+    and every other shape as FRAME_JSON.  Encoding happens under the
+    write lock because the codec buffer is per connection.
+    """
+
+    __slots__ = ("writer", "lock", "codec")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.lock = asyncio.Lock()
+        self.codec = WireCodec()
+
+    async def reply(self, message: dict, wire: str) -> None:
+        async with self.lock:
+            if self.writer.is_closing():
+                return
+            if wire == WIRE_V2:
+                if (
+                    message.get("status") == STATUS_OK
+                    and "assignment" in message
+                ):
+                    data = self.codec.encode_ok(message)
+                else:
+                    data = self.codec.encode_json(message)
+            else:
+                data = encode(message)
+            self.writer.write(data)
+            try:
+                await self.writer.drain()
+            except ConnectionError:
+                pass
+
+
+def _close_writer(writer: asyncio.StreamWriter) -> None:
+    try:
+        writer.close()
+    except Exception:  # pragma: no cover - already torn down
+        pass
+
+
+class ProtocolFront:
+    """Listeners, framing, dispatch, probes and drain of one front door.
+
+    A subclass supplies what differs between a server and a router:
+    :meth:`_handle_route` (one parsed route request), :meth:`_handle_job`
+    (one ``job.*`` op), :meth:`_readiness`, :meth:`metrics_snapshot`,
+    :meth:`_open` / :meth:`_release` (what start acquires and drain
+    releases) and :meth:`_banner`.  It sets ``config`` (host, ports,
+    ``drain_grace``, ``port_file``) and ``metrics`` before
+    :meth:`start`.
+    """
+
+    #: Counter names; the router's live under ``serve.router.``.
+    _REQUESTS = "serve.requests"
+    _WIRE_V2_REQUESTS = "serve.wire_v2_requests"
+    _PROTOCOL_ERRORS = "serve.protocol_errors"
+
+    def __init__(self) -> None:
+        self.port: Optional[int] = None
+        self.http_port: Optional[int] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._http: Optional[asyncio.base_events.Server] = None
+        self._ready = False
+        self._drained = False
+        self._stop: Optional[asyncio.Event] = None
+        self._inflight: set[asyncio.Task] = set()
+        self._writers: set[asyncio.StreamWriter] = set()
+
+    # ------------------------------------------------------------------
+    # what a subclass supplies
+    # ------------------------------------------------------------------
+    async def _open(self) -> None:
+        """Acquire what serving needs, before the listeners bind."""
+
+    async def _release(self) -> None:
+        """Release what :meth:`_open` acquired, once in-flight work ended."""
+
+    def _banner(self) -> str:
+        raise NotImplementedError
+
+    def _readiness(self) -> str:
+        """``"ready"``, or why ``/readyz`` answers 503."""
+        return "ready" if self._ready else "draining"
+
+    def metrics_snapshot(self) -> dict:
+        raise NotImplementedError
+
+    async def _handle_route(
+        self, request, conn: Connection, wire: str, started: float
+    ) -> None:
+        raise NotImplementedError
+
+    async def _handle_job(
+        self, op: str, message: dict, conn: Connection, wire: str
+    ) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Acquire resources, bind both listeners, write the port file."""
+        await self._open()
+        self._stop = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._on_connection, self.config.host, self.config.port
+        )
+        self._http = await asyncio.start_server(
+            self._on_http, self.config.host, self.config.http_port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        self.http_port = self._http.sockets[0].getsockname()[1]
+        self._ready = True
+        if self.config.port_file:
+            tmp = self.config.port_file + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump({
+                    "port": self.port,
+                    "http_port": self.http_port,
+                    "pid": os.getpid(),
+                }, handle)
+            os.replace(tmp, self.config.port_file)
+
+    def install_signal_handlers(self) -> None:
+        """Drain gracefully on SIGTERM/SIGINT (call from the event loop)."""
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self.request_drain)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-main thread or platform without signal support
+
+    def request_drain(self) -> None:
+        """Ask the front door to drain and stop (signal-handler safe)."""
+        self._ready = False
+        if self._stop is not None:
+            self._stop.set()
+
+    async def serve_forever(self) -> None:
+        """Block until a drain is requested, then drain."""
+        assert self._stop is not None, "start() first"
+        await self._stop.wait()
+        await self.drain()
+
+    async def run(self) -> None:
+        """``start`` + signal handlers + ``serve_forever`` (the CLI path)."""
+        await self.start()
+        self.install_signal_handlers()
+        print(
+            f"{self._banner()} on {self.config.host}:{self.port} "
+            f"(admin http {self.config.host}:{self.http_port})",
+            flush=True,
+        )
+        await self.serve_forever()
+
+    async def drain(self) -> None:
+        """Graceful shutdown: stop accepting, flush in-flight, close all."""
+        if self._drained:
+            return
+        self._drained = True
+        self._ready = False
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if self._inflight:
+            await asyncio.wait(
+                list(self._inflight), timeout=self.config.drain_grace
+            )
+        await self._release()
+        for writer in list(self._writers):
+            _close_writer(writer)
+        if self._http is not None:
+            self._http.close()
+            await self._http.wait_closed()
+
+    async def __aenter__(self):
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.drain()
+
+    # ------------------------------------------------------------------
+    # protocol connections
+    # ------------------------------------------------------------------
+    async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        conn = Connection(writer)
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    item = await read_wire_message(reader)
+                except FrameTooLargeError as exc:
+                    # The stream position cannot be trusted past an
+                    # insane length prefix: answer typed, then close.
+                    await self._protocol_error(conn, WIRE_V2, exc)
+                    break
+                if item is None:
+                    break
+                wire, payload = item
+                task = asyncio.get_running_loop().create_task(
+                    self._handle_message(wire, payload, conn)
+                )
+                self._inflight.add(task)
+                task.add_done_callback(self._inflight.discard)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            self._writers.discard(writer)
+            _close_writer(writer)
+
+    async def _protocol_error(
+        self, conn: Connection, wire: str, exc: Exception,
+        request_id: Optional[str] = None,
+    ) -> None:
+        self.metrics.incr(self._PROTOCOL_ERRORS)
+        await conn.reply(failure_response(
+            request_id, STATUS_ERROR, "ProtocolError", str(exc)
+        ), wire)
+
+    async def _handle_message(
+        self, wire: str, payload, conn: Connection
+    ) -> None:
+        if wire == WIRE_V2:
+            ftype, body = payload
+            if ftype == FRAME_ROUTE:
+                self.metrics.incr(self._REQUESTS)
+                self.metrics.incr(self._WIRE_V2_REQUESTS)
+                started = time.monotonic()
+                try:
+                    request = decode_route_frame(body)
+                except ProtocolError as exc:
+                    await self._protocol_error(conn, wire, exc)
+                    return
+                await self._handle_route(request, conn, wire, started)
+                return
+            if ftype != FRAME_JSON:
+                await self._protocol_error(conn, wire, ProtocolError(
+                    f"unknown frame type 0x{ftype:02x}"
+                ))
+                return
+            line = body
+        else:
+            line = payload
+        try:
+            message = decode(line)
+        except ProtocolError as exc:
+            await self._protocol_error(conn, wire, exc)
+            return
+        op = message.get("op")
+        if op == "ping":
+            await conn.reply(self._ping(message), wire)
+        elif op == "stats":
+            await conn.reply({
+                "v": PROTOCOL_VERSION,
+                "id": message.get("id"),
+                "status": STATUS_OK,
+                "stats": self.metrics_snapshot(),
+            }, wire)
+        elif op == "hello":
+            await conn.reply(
+                hello_response(message.get("id"), message), wire
+            )
+        elif op in JOB_OPS:
+            await self._handle_job(op, message, conn, wire)
+        else:  # "route" (decode() already rejected unknown ops)
+            self.metrics.incr(self._REQUESTS)
+            started = time.monotonic()
+            try:
+                request = parse_route_request(message)
+            except ProtocolError as exc:
+                raw_id = message.get("id")
+                await self._protocol_error(
+                    conn, wire, exc,
+                    raw_id if isinstance(raw_id, str) else None,
+                )
+                return
+            await self._handle_route(request, conn, wire, started)
+
+    def _ping(self, message: dict) -> dict:
+        return {
+            "v": PROTOCOL_VERSION,
+            "id": message.get("id"),
+            "status": STATUS_OK,
+            "pong": True,
+            "ready": self._readiness() == "ready",
+            "protocol": PROTOCOL_VERSION,
+            "versions": list(SUPPORTED_VERSIONS),
+            "caps": list(CAPABILITIES),
+        }
+
+    # ------------------------------------------------------------------
+    # admin HTTP (probes + metrics)
+    # ------------------------------------------------------------------
+    async def _on_http(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            request_line = await reader.readline()
+            parts = request_line.decode("latin-1", "replace").split()
+            path = parts[1] if len(parts) >= 2 else "/"
+            while True:  # drain headers
+                header = await reader.readline()
+                if header in (b"\r\n", b"\n", b""):
+                    break
+            if path == "/metrics":
+                code, body = 200, render_prometheus(self.metrics_snapshot())
+            elif path == "/healthz":
+                code, body = 200, "ok\n"
+            elif path == "/readyz":
+                state = self._readiness()
+                code, body = (200 if state == "ready" else 503), state + "\n"
+            else:
+                code, body = 404, f"no such path: {path}\n"
+            reason = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}
+            payload = body.encode("utf-8")
+            writer.write(
+                f"HTTP/1.0 {code} {reason.get(code, 'OK')}\r\n"
+                f"Content-Type: text/plain; charset=utf-8\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+                f"Connection: close\r\n\r\n".encode("latin-1") + payload
+            )
+            await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            _close_writer(writer)
+
+
+class RoutingServer(ProtocolFront):
+    """Admission → micro-batch → engine, behind the protocol front door."""
 
     def __init__(
         self,
@@ -190,6 +533,7 @@ class RoutingServer:
         engine: Optional[RoutingEngine] = None,
         trace_sink: Optional[TraceSink] = None,
     ) -> None:
+        super().__init__()
         self.config = config or ServeConfig()
         self._owns_engine = engine is None
         self.engine = engine or RoutingEngine(
@@ -238,88 +582,15 @@ class RoutingServer:
             metrics=self.metrics,
             service_observer=self.admission.observe_service,
         )
-        self.port: Optional[int] = None
-        self.http_port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._http: Optional[asyncio.base_events.Server] = None
-        self._ready = False
-        self._drained = False
-        self._stop: Optional[asyncio.Event] = None
-        self._inflight: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         self._request_seq = 0
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # front-door hooks
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind both listeners and start the batcher."""
-        self._stop = asyncio.Event()
+    async def _open(self) -> None:
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self._http = await asyncio.start_server(
-            self._on_http, self.config.host, self.config.http_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.http_port = self._http.sockets[0].getsockname()[1]
-        self._ready = True
-        if self.config.port_file:
-            tmp = self.config.port_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump({
-                    "port": self.port,
-                    "http_port": self.http_port,
-                    "pid": os.getpid(),
-                }, handle)
-            os.replace(tmp, self.config.port_file)
 
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (call from the event loop)."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread or platform without signal support
-
-    def request_drain(self) -> None:
-        """Ask the server to drain and stop (signal-handler safe)."""
-        self._ready = False
-        if self._stop is not None:
-            self._stop.set()
-
-    async def serve_forever(self) -> None:
-        """Block until a drain is requested, then drain."""
-        assert self._stop is not None, "start() first"
-        await self._stop.wait()
-        await self.drain()
-
-    async def run(self) -> None:
-        """``start`` + signal handlers + ``serve_forever`` (the CLI path)."""
-        await self.start()
-        self.install_signal_handlers()
-        print(
-            f"serving on {self.config.host}:{self.port} "
-            f"(admin http {self.config.host}:{self.http_port})",
-            flush=True,
-        )
-        await self.serve_forever()
-
-    async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, flush in-flight, close all."""
-        if self._drained:
-            return
-        self._drained = True
-        self._ready = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._inflight:
-            await asyncio.wait(
-                list(self._inflight), timeout=self.config.drain_grace
-            )
+    async def _release(self) -> None:
         await self.batcher.close()
         # Stop the job workers off-loop: a running job aborts at its
         # next round boundary and its journals stay on disk, so a
@@ -330,190 +601,17 @@ class RoutingServer:
                 timeout=max(self.config.drain_grace, 0.1)
             ),
         )
-        for writer in list(self._writers):
-            self._close_writer(writer)
-        if self._http is not None:
-            self._http.close()
-            await self._http.wait_closed()
         if self._owns_engine:
             self.engine.close()
 
-    # ------------------------------------------------------------------
-    # protocol connections
-    # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        codec = WireCodec()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    item = await read_wire_message(reader)
-                except FrameTooLargeError as exc:
-                    # The stream position cannot be trusted past an
-                    # insane length prefix: answer typed, then close.
-                    self.metrics.incr("serve.protocol_errors")
-                    await self._write(writer, write_lock, failure_response(
-                        None, STATUS_ERROR, "ProtocolError", str(exc)
-                    ), WIRE_V2, codec)
-                    break
-                if item is None:
-                    break
-                wire, payload = item
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_message(
-                        wire, payload, writer, write_lock, codec
-                    )
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            self._close_writer(writer)
-
-    def _close_writer(self, writer: asyncio.StreamWriter) -> None:
-        try:
-            writer.close()
-        except Exception:  # pragma: no cover - already torn down
-            pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        message: dict,
-        wire: str = WIRE_V1,
-        codec: Optional[WireCodec] = None,
-    ) -> None:
-        """Send one response in the framing its request arrived in.
-
-        Binary connections get ``ok`` route responses as packed
-        FRAME_OK; every other shape rides a FRAME_JSON.  Encoding
-        happens under the write lock because the codec buffer is
-        per-connection.
-        """
-        async with write_lock:
-            if writer.is_closing():
-                return
-            if wire == WIRE_V2 and codec is not None:
-                if (
-                    message.get("status") == STATUS_OK
-                    and "assignment" in message
-                ):
-                    data = codec.encode_ok(message)
-                else:
-                    data = codec.encode_json(message)
-            else:
-                data = encode(message)
-            writer.write(data)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-
-    async def _handle_message(
-        self,
-        wire: str,
-        payload,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        codec: WireCodec,
-    ) -> None:
-        if wire == WIRE_V2:
-            ftype, body = payload
-            if ftype == FRAME_ROUTE:
-                self.metrics.incr("serve.requests")
-                self.metrics.incr("serve.wire_v2_requests")
-                started = time.monotonic()
-                try:
-                    request = decode_route_frame(body)
-                except ProtocolError as exc:
-                    self.metrics.incr("serve.protocol_errors")
-                    await self._write(writer, write_lock, failure_response(
-                        None, STATUS_ERROR, "ProtocolError", str(exc)
-                    ), wire, codec)
-                    return
-                await self._handle_route_request(
-                    request, writer, write_lock, wire, codec, started
-                )
-                return
-            if ftype != FRAME_JSON:
-                self.metrics.incr("serve.protocol_errors")
-                await self._write(writer, write_lock, failure_response(
-                    None, STATUS_ERROR, "ProtocolError",
-                    f"unknown frame type 0x{ftype:02x}",
-                ), wire, codec)
-                return
-            line = body
-        else:
-            line = payload
-        try:
-            message = decode(line)
-        except ProtocolError as exc:
-            self.metrics.incr("serve.protocol_errors")
-            await self._write(writer, write_lock, failure_response(
-                None, STATUS_ERROR, "ProtocolError", str(exc)
-            ), wire, codec)
-            return
-        op = message.get("op")
-        if op == "ping":
-            await self._write(writer, write_lock, {
-                "v": PROTOCOL_VERSION,
-                "id": message.get("id"),
-                "status": STATUS_OK,
-                "pong": True,
-                "ready": self._ready,
-                "protocol": PROTOCOL_VERSION,
-                "versions": list(SUPPORTED_VERSIONS),
-                "caps": list(CAPABILITIES),
-            }, wire, codec)
-        elif op == "stats":
-            await self._write(writer, write_lock, {
-                "v": PROTOCOL_VERSION,
-                "id": message.get("id"),
-                "status": STATUS_OK,
-                "stats": self.metrics_snapshot(),
-            }, wire, codec)
-        elif op == "hello":
-            await self._write(writer, write_lock, hello_response(
-                message.get("id"), message
-            ), wire, codec)
-        elif op in JOB_OPS:
-            await self._handle_job_request(
-                op, message, writer, write_lock, wire, codec
-            )
-        else:  # "route" (decode() already rejected unknown ops)
-            self.metrics.incr("serve.requests")
-            started = time.monotonic()
-            try:
-                request = parse_route_request(message)
-            except ProtocolError as exc:
-                self.metrics.incr("serve.protocol_errors")
-                await self._write(writer, write_lock, failure_response(
-                    message.get("id") if isinstance(message.get("id"), str)
-                    else None,
-                    STATUS_ERROR, "ProtocolError", str(exc),
-                ), wire, codec)
-                return
-            await self._handle_route_request(
-                request, writer, write_lock, wire, codec, started
-            )
+    def _banner(self) -> str:
+        return "serving"
 
     # ------------------------------------------------------------------
     # the job path
     # ------------------------------------------------------------------
-    async def _handle_job_request(
-        self,
-        op: str,
-        message: dict,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        wire: str,
-        codec: WireCodec,
+    async def _handle_job(
+        self, op: str, message: dict, conn: Connection, wire: str
     ) -> None:
         """Answer one ``job.*`` op against the job manager.
 
@@ -532,10 +630,10 @@ class RoutingServer:
             if op == "job.submit":
                 if not self._ready:
                     self.metrics.incr("serve.drain_refused")
-                    await self._write(writer, write_lock, failure_response(
+                    await conn.reply(failure_response(
                         request_id, STATUS_OVERLOADED,
                         "ServeError", "server is draining",
-                    ), wire, codec)
+                    ), wire)
                     return
                 job_id, spec, deadline_s = parse_job_submit(message)
                 payload = await loop.run_in_executor(
@@ -584,7 +682,7 @@ class RoutingServer:
                 "status": STATUS_OK,
                 **body,
             }
-        await self._write(writer, write_lock, response, wire, codec)
+        await conn.reply(response, wire)
 
     # ------------------------------------------------------------------
     # the route path
@@ -612,24 +710,18 @@ class RoutingServer:
         root.finish()
         self.trace_sink.write_all(collector.drain())
 
-    async def _handle_route_request(
-        self,
-        request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        wire: str,
-        codec: WireCodec,
-        started: float,
+    async def _handle_route(
+        self, request, conn: Connection, wire: str, started: float
     ) -> None:
         if not self._ready:
             # Drain has been requested: existing connections stay open
             # for in-flight responses, but new route work is refused so
             # a router/load-balancer moves on immediately.
             self.metrics.incr("serve.drain_refused")
-            await self._write(writer, write_lock, failure_response(
+            await conn.reply(failure_response(
                 request.request_id, STATUS_OVERLOADED,
                 "ServeError", "server is draining",
-            ), wire, codec)
+            ), wire)
             return
 
         decision = self.admission.try_admit(request.deadline_ms)
@@ -638,10 +730,10 @@ class RoutingServer:
                 "serve.shed" if decision.status == STATUS_SHED
                 else "serve.overloaded"
             )
-            await self._write(writer, write_lock, failure_response(
+            await conn.reply(failure_response(
                 request.request_id, decision.status,
                 "AdmissionRejected", decision.reason,
-            ), wire, codec)
+            ), wire)
             return
 
         collector, root, trace_parent = self._start_span(request)
@@ -694,10 +786,10 @@ class RoutingServer:
             self.admission.release()
         self._finish_span(collector, root, response["status"])
         self.metrics.observe("serve.latency", time.monotonic() - started)
-        await self._write(writer, write_lock, response, wire, codec)
+        await conn.reply(response, wire)
 
     # ------------------------------------------------------------------
-    # admin HTTP (probes + metrics)
+    # metrics
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
         """Merged serve + engine + job metrics (standard snapshot schema).
@@ -723,46 +815,3 @@ class RoutingServer:
                 **jobs_snap["histograms"],
             },
         }
-
-    async def _on_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            while True:  # drain headers
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/metrics":
-                code, body = 200, render_prometheus(self.metrics_snapshot())
-            elif path == "/healthz":
-                code, body = 200, "ok\n"
-            elif path == "/readyz":
-                code, body = (
-                    (200, "ready\n") if self._ready else (503, "draining\n")
-                )
-            else:
-                code, body = 404, f"no such path: {path}\n"
-            reason = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}
-            payload = body.encode("utf-8")
-            writer.write(
-                f"HTTP/1.0 {code} {reason.get(code, 'OK')}\r\n"
-                f"Content-Type: text/plain; charset=utf-8\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n".encode("latin-1") + payload
-            )
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._close_writer(writer)
-
-    # Convenience for tests and embedding: run in a context.
-    async def __aenter__(self) -> "RoutingServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.drain()

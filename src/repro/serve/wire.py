@@ -73,7 +73,6 @@ __all__ = [
     "decode_route_frame",
     "decode_ok_frame",
     "read_wire_message",
-    "read_wire_message_sync",
 ]
 
 #: First byte of every binary frame.  Deliberately outside ASCII so it
@@ -654,27 +653,3 @@ async def read_wire_message(reader):
         # A bare blank line must not swallow the *next* line.
         return (WIRE_V1, b"\n")
     return (WIRE_V1, first + await reader.readline())
-
-
-def read_wire_message_sync(stream):
-    """Blocking twin of :func:`read_wire_message` over a buffered file."""
-    first = stream.read(1)
-    if not first:
-        return None
-    if first == _MAGIC_BYTE:
-        header = stream.read(_HEADER_TAIL.size)
-        if len(header) < _HEADER_TAIL.size:
-            return None
-        ftype, length = _HEADER_TAIL.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLargeError(
-                f"frame declares a {length}-byte body "
-                f"(limit {MAX_FRAME_BYTES}); closing the connection"
-            )
-        body = stream.read(length)
-        if len(body) < length:
-            return None
-        return (WIRE_V2, (ftype, body))
-    if first == b"\n":
-        return (WIRE_V1, b"\n")
-    return (WIRE_V1, first + stream.readline())

@@ -343,6 +343,34 @@ class TestPortfolio:
                 portfolio=True,
             )
 
+    def test_race_winners_are_not_cached(self, tmp_path):
+        """A race winner depends on timing, and the cache key has no
+        portfolio part: later non-race requests must get the plain
+        engine answer, on the racing engine and on any engine sharing
+        its cache_dir."""
+        from repro.serve.loadgen import build_corpus
+
+        corpus = build_corpus(
+            40, 3, n_tracks=10, n_columns=24, n_connections=8,
+            max_segments=2,
+        )
+        instances = [(channel, conns) for channel, conns, _ in corpus]
+        expected = [
+            route(channel, conns, max_segments=2).assignment
+            for channel, conns in instances
+        ]
+        cache_dir = str(tmp_path / "cache")
+        racer = RoutingEngine(EngineConfig(cache_dir=cache_dir))
+        for channel, conns in instances:
+            racer.route(channel, conns, max_segments=2, portfolio=True)
+        fresh = RoutingEngine(EngineConfig(cache_dir=cache_dir))
+        shared = fresh.route_many(instances, max_segments=2)
+        fresh.close()
+        same = racer.route_many(instances, max_segments=2)
+        racer.close()
+        assert [r.routing.assignment for r in shared] == expected
+        assert [r.routing.assignment for r in same] == expected
+
     @pytest.mark.skipif(not _HAS_FORK, reason="slow-candidate fake needs fork")
     def test_race_cancels_losers(self, monkeypatch):
         def hang(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Client SDK: sync wrapper, connect retries, transport failures."""
+"""Client SDK: blocking client, connect retries, timeouts, transport loss."""
 
 import asyncio
 import threading
@@ -56,6 +56,28 @@ def test_sync_client_routes_and_pings():
                 assert result.latency > 0
             stats = client.stats()
             assert stats["counters"]["serve.ok"] == len(corpus)
+
+
+def test_sync_client_timeout_is_typed_and_connection_survives():
+    """A timed-out call raises a plain ServeError; the client keeps working.
+
+    The exact solve of the Theorem-2 instance outlives the client's
+    0.3 s timeout (the server's own 2 s deadline ends it later); the
+    late reply must not poison the connection for the next call.
+    """
+    from repro.core.errors import ConnectionLostError
+    from tests.engine.test_engine import adversarial_instance
+
+    channel, conns = adversarial_instance()
+    config = ServeConfig(port=0, http_port=0, seed=5, timeout=2.0)
+    with ServerThread(config) as st:
+        with RoutingClient(
+            "127.0.0.1", st.server.port, timeout=0.3
+        ) as client:
+            with pytest.raises(ServeError) as caught:
+                client.route(channel, conns, algorithm="exact")
+            assert not isinstance(caught.value, ConnectionLostError)
+            assert client.ping()["pong"] is True
 
 
 def test_sync_client_connect_retries_then_fails():

@@ -1,8 +1,11 @@
 """Malformed-frame fuzzing: garbled input must never surface as ``ok``.
 
-Raw-socket tests against a live server: truncated length prefixes,
-oversized declared lengths, garbage frame bodies, and v1/v2 interleave
-on a single connection.  The invariants:
+Raw-socket tests against the protocol front door, each run twice:
+against a live server, and against a router fronting one in-process
+server (the two share the front door, so both must hold the same
+line).  Truncated length prefixes, oversized declared lengths, garbage
+frame bodies, and v1/v2 interleave on a single connection.  The
+invariants:
 
 * a garbled body gets a typed ``ProtocolError`` response and the
   connection stays usable (the frame boundary was still valid);
@@ -12,13 +15,21 @@ on a single connection.  The invariants:
 """
 
 import asyncio
+import contextlib
 import json
 import random
 import struct
 
 import pytest
 
-from repro.serve import MAX_FRAME_BYTES, RoutingServer, ServeConfig
+from repro.serve import (
+    MAX_FRAME_BYTES,
+    RouterConfig,
+    RoutingRouter,
+    RoutingServer,
+    ServeConfig,
+    StaticReplicaSet,
+)
 from repro.serve.loadgen import build_corpus
 from repro.serve.wire import (
     FRAME_JSON,
@@ -62,14 +73,34 @@ async def _read_message(reader, timeout=10.0):
     return decode_ok_frame(body)
 
 
-def _run(coro):
-    return asyncio.run(coro)
-
-
 def _config(**overrides):
     defaults = dict(port=0, http_port=0, max_wait_ms=2.0, drain_grace=5.0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+@contextlib.asynccontextmanager
+async def _front_door(front, seed):
+    """A started server, or a router fronting one; yields the front."""
+    async with RoutingServer(_config(seed=seed)) as server:
+        if front == "server":
+            yield server
+            return
+        router = RoutingRouter(
+            StaticReplicaSet([("127.0.0.1", server.port)]),
+            RouterConfig(port=0, http_port=0, seed=seed, drain_grace=5.0),
+        )
+        async with router:
+            yield router
+
+
+def _on_each_front(main):
+    """Run ``main(front)`` against a server, then against a router."""
+    for front in ("server", "router"):
+        try:
+            asyncio.run(main(front))
+        except AssertionError as exc:
+            raise AssertionError(f"[{front}] {exc}") from exc
 
 
 async def _ping_ok(reader, writer):
@@ -86,47 +117,44 @@ async def _ping_ok(reader, writer):
 def test_truncated_length_prefix_closes_cleanly():
     """MAGIC + a partial header then EOF: no response, no crash."""
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             writer.write(bytes([MAGIC, FRAME_ROUTE, 0x00]))  # header cut
             await writer.drain()
             writer.close()
             await writer.wait_closed()
             # The server must survive it and keep serving others.
-            reader2, writer2 = await _connect(server.port)
+            reader2, writer2 = await _connect(door.port)
             await _ping_ok(reader2, writer2)
             writer2.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_truncated_body_closes_cleanly():
     """A frame whose declared body never fully arrives: clean teardown."""
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             writer.write(_HEADER.pack(MAGIC, FRAME_ROUTE, 4096) + b"\x01\x02")
             await writer.drain()
             writer.close()
             await writer.wait_closed()
-            reader2, writer2 = await _connect(server.port)
+            reader2, writer2 = await _connect(door.port)
             await _ping_ok(reader2, writer2)
             writer2.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_oversized_declared_length_typed_error_then_close():
     """A length beyond MAX_FRAME_BYTES: typed error, connection closed."""
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             writer.write(_HEADER.pack(MAGIC, FRAME_ROUTE, MAX_FRAME_BYTES + 1))
             await writer.drain()
             response = await _read_message(reader)
@@ -136,16 +164,15 @@ def test_oversized_declared_length_typed_error_then_close():
             assert await asyncio.wait_for(reader.read(), 10.0) == b""
             writer.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_unknown_frame_type_typed_error_connection_survives():
     """An unknown frame type is an error; the boundary was still valid."""
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             writer.write(_frame(0x7F, b"whatever"))
             await writer.drain()
             response = await _read_message(reader)
@@ -154,7 +181,7 @@ def test_unknown_frame_type_typed_error_connection_survives():
             await _ping_ok(reader, writer)
             writer.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_garbage_route_bodies_never_ok():
@@ -178,10 +205,9 @@ def test_garbage_route_bodies_never_ok():
             garbled.append(body)
     assert garbled, "fuzz corpus produced no garbled bodies"
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             for body in garbled:
                 writer.write(_frame(FRAME_ROUTE, body))
                 await writer.drain()
@@ -192,7 +218,7 @@ def test_garbage_route_bodies_never_ok():
             await _ping_ok(reader, writer)
             writer.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_mutated_valid_frames_never_ok_unless_still_parseable():
@@ -218,10 +244,9 @@ def test_mutated_valid_frames_never_ok_unless_still_parseable():
         except (ProtocolError, ReproError):
             expectations.append((mutated, False))
 
-    async def main():
-        server = RoutingServer(_config(seed=9))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=9) as door:
+            reader, writer = await _connect(door.port)
             for mutated, parseable in expectations:
                 writer.write(_frame(FRAME_ROUTE, mutated))
                 await writer.drain()
@@ -235,7 +260,7 @@ def test_mutated_valid_frames_never_ok_unless_still_parseable():
             await _ping_ok(reader, writer)
             writer.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_garbage_json_frame_bodies_never_ok():
@@ -244,10 +269,9 @@ def test_garbage_json_frame_bodies_never_ok():
     bodies = [b"", b"\x00\x01", b"not json", b"[1,2,3]", b'"str"',
               bytes(rng.getrandbits(8) for _ in range(64))]
 
-    async def main():
-        server = RoutingServer(_config(seed=1))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=1) as door:
+            reader, writer = await _connect(door.port)
             for body in bodies:
                 writer.write(_frame(FRAME_JSON, body))
                 await writer.drain()
@@ -256,7 +280,7 @@ def test_garbage_json_frame_bodies_never_ok():
             await _ping_ok(reader, writer)
             writer.close()
 
-    _run(main())
+    _on_each_front(main)
 
 
 def test_v1_v2_interleave_on_one_connection():
@@ -264,10 +288,9 @@ def test_v1_v2_interleave_on_one_connection():
     channel, conns, k = build_corpus(1, seed=21)[0]
     codec = WireCodec()
 
-    async def main():
-        server = RoutingServer(_config(seed=21))
-        async with server:
-            reader, writer = await _connect(server.port)
+    async def main(front):
+        async with _front_door(front, seed=21) as door:
+            reader, writer = await _connect(door.port)
             # 1) plain v1 ping line
             writer.write(json.dumps(
                 {"v": 1, "id": "a", "op": "ping"}
@@ -307,14 +330,13 @@ def test_v1_v2_interleave_on_one_connection():
                     message = json.loads(line)
                 by_id[message.get("id")] = message
             writer.close()
-            return by_id
+        assert by_id["a"]["status"] == "ok"
+        assert by_id["b"]["status"] == "ok"
+        assert by_id["d"]["status"] == "ok"
+        # The garbled frame answered with a typed, id-less error.
+        assert by_id[None]["status"] == "error"
+        assert by_id[None]["error_type"] == "ProtocolError"
+        # Binary and JSON answers for the same instance agree.
+        assert by_id["b"]["assignment"] == by_id["d"]["assignment"]
 
-    by_id = _run(main())
-    assert by_id["a"]["status"] == "ok"
-    assert by_id["b"]["status"] == "ok"
-    assert by_id["d"]["status"] == "ok"
-    # The garbled frame answered with a typed, id-less error.
-    assert by_id[None]["status"] == "error"
-    assert by_id[None]["error_type"] == "ProtocolError"
-    # Binary and JSON answers for the same instance agree.
-    assert by_id["b"]["assignment"] == by_id["d"]["assignment"]
+    _on_each_front(main)
