@@ -1,27 +1,29 @@
-"""Three-way DP kernel benchmark (the perf-regression harness).
+"""DP kernel benchmark (the perf-regression harness).
 
 Runs the same instance families as ``benchmarks/test_dp_scaling_m.py``
-and ``benchmarks/test_dp_scaling_k.py`` through the reference, packed,
-and vectorized DP kernels and reports, per batch:
+and ``benchmarks/test_dp_scaling_k.py`` through the production DP kernel
+(:func:`~repro.core.kernels.run_dp_vectorized`, the one behind
+``route_dp``) and the reference kernel, its oracle, and reports, per
+batch:
 
-* best-of-``repeats`` wall-clock for each kernel and the speedups
-  (packed vs reference, vectorized vs packed);
-* ``result_stream_digest`` equality — every kernel must be
+* best-of-``repeats`` wall-clock for each kernel and the speedup
+  (production vs reference);
+* ``result_stream_digest`` equality — the production kernel must be
   *bit-identical* to the reference, including on infeasible instances;
 * assignment-graph node counts before/after dominance pruning.
 
 ``scale_k`` includes a *wide* tier — unlimited-segment instances on
 10-track channels whose levels hold hundreds of frontiers (the
-Theorem 5 ``2^T·T!`` regime) — because that is where array-native
-batching pays; the narrow tiers keep the kernels honest about
+Theorem 5 ``2^T·T!`` regime) — because that is where the kernel's numpy
+path runs; the narrow tiers keep its scalar path honest about
 small-level overhead.
 
 The ``segroute bench`` CLI subcommand wraps :func:`run_kernel_bench` and
 writes ``BENCH_kernels.json``; CI's ``bench-smoke`` job runs it with
-``--quick --check`` and fails when the packed kernel regresses by more
-than 10%, the vectorized kernel falls behind packed by more than 50% on
-any batch, or any digest diverges.  All numbers are single-process,
-single-thread — see the 1-CPU caveat in ``docs/PERFORMANCE.md``.
+``--quick --check`` and fails when the production kernel is more than
+10% slower than the reference on any batch, or any digest diverges.
+All numbers are single-process, single-thread — see the CPU caveat in
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable
 
 from repro.core.errors import RoutingInfeasibleError
 from repro.core.geometry import channel_geometry
-from repro.core.kernels import run_dp_packed, run_dp_reference, run_dp_vectorized
+from repro.core.kernels import run_dp_reference, run_dp_vectorized
 from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
@@ -48,17 +50,9 @@ __all__ = [
     "render_report",
 ]
 
-#: Fail threshold for ``--check``: packed slower than reference by more
-#: than this fraction on any batch.
+#: Fail threshold for ``--check``: the production kernel slower than the
+#: reference by more than this fraction on any batch.
 MAX_SLOWDOWN = 0.10
-
-#: Fail threshold for ``--check``: vectorized slower than *packed* by
-#: more than this fraction on any batch.  Lenient because the narrow
-#: batches are exactly where array dispatch has nothing to amortize and
-#: the adaptive kernel runs the scalar loop plus a little bookkeeping;
-#: a genuinely broken adaptive path (all-numpy on narrow levels) still
-#: trips it at ~2.5x slower.
-VEC_MAX_SLOWDOWN = 0.50
 
 
 def _scale_m_batch(sizes: tuple[int, ...]) -> list[tuple]:
@@ -154,57 +148,37 @@ def run_kernel_bench(quick: bool = False, repeats: int = 3) -> dict:
             channel_geometry(ch)
 
         ref_records, _ = _run_batch(items, run_dp_reference)
-        packed_records, packed_stats = _run_batch(items, run_dp_packed)
-        vec_records, _ = _run_batch(items, run_dp_vectorized)
+        vec_records, vec_stats = _run_batch(items, run_dp_vectorized)
         ref_digest = result_stream_digest(ref_records)
-        packed_digest = result_stream_digest(packed_records)
         vec_digest = result_stream_digest(vec_records)
 
         ref_time = _time_batch(items, run_dp_reference, repeats)
-        packed_time = _time_batch(items, run_dp_packed, repeats)
         vec_time = _time_batch(items, run_dp_vectorized, repeats)
 
-        nodes_kept = sum(
-            s.total_nodes for s in packed_stats if s is not None
-        )
-        nodes_pruned = sum(
-            s.total_pruned for s in packed_stats if s is not None
-        )
+        nodes_kept = sum(s.total_nodes for s in vec_stats if s is not None)
+        nodes_pruned = sum(s.total_pruned for s in vec_stats if s is not None)
         out_batches.append({
             "name": name,
             "instances": len(items),
             "feasible": sum(1 for r in ref_records if r.routing is not None),
             "reference_s": round(ref_time, 6),
-            "packed_s": round(packed_time, 6),
             "vectorized_s": round(vec_time, 6),
-            "speedup": round(ref_time / packed_time, 3) if packed_time else None,
-            "speedup_vectorized": (
-                round(ref_time / vec_time, 3) if vec_time else None
-            ),
-            "vectorized_vs_packed": (
-                round(packed_time / vec_time, 3) if vec_time else None
-            ),
-            "results_identical": ref_digest == packed_digest == vec_digest,
-            "result_stream_digest": packed_digest,
+            "speedup": round(ref_time / vec_time, 3) if vec_time else None,
+            "results_identical": ref_digest == vec_digest,
+            "result_stream_digest": vec_digest,
             "dp_nodes_before_pruning": nodes_kept + nodes_pruned,
             "dp_nodes_after_pruning": nodes_kept,
             "dp_nodes_pruned": nodes_pruned,
         })
     speedups = [b["speedup"] for b in out_batches if b["speedup"]]
-    vec_ratios = [
-        b["vectorized_vs_packed"] for b in out_batches
-        if b["vectorized_vs_packed"]
-    ]
     return {
-        "schema": "kernel-bench/2",
+        "schema": "kernel-bench/3",
         "quick": quick,
         "repeats": repeats,
         "cpus": os.cpu_count() or 1,
         "batches": out_batches,
         "speedup_min": min(speedups) if speedups else None,
         "speedup_max": max(speedups) if speedups else None,
-        "vectorized_vs_packed_min": min(vec_ratios) if vec_ratios else None,
-        "vectorized_vs_packed_max": max(vec_ratios) if vec_ratios else None,
     }
 
 
@@ -221,15 +195,8 @@ def check_report(report: dict, max_slowdown: float = MAX_SLOWDOWN) -> list[str]:
         speedup = batch["speedup"]
         if speedup is not None and speedup < 1.0 - max_slowdown:
             failures.append(
-                f"{batch['name']}: packed kernel {1 / speedup:.2f}x slower "
-                f"than reference (allowed slowdown {max_slowdown:.0%})"
-            )
-        vec_ratio = batch.get("vectorized_vs_packed")
-        if vec_ratio is not None and vec_ratio < 1.0 - VEC_MAX_SLOWDOWN:
-            failures.append(
-                f"{batch['name']}: vectorized kernel {1 / vec_ratio:.2f}x "
-                f"slower than packed "
-                f"(allowed slowdown {VEC_MAX_SLOWDOWN:.0%})"
+                f"{batch['name']}: vectorized kernel {1 / speedup:.2f}x "
+                f"slower than reference (allowed slowdown {max_slowdown:.0%})"
             )
     return failures
 
@@ -239,17 +206,15 @@ def render_report(report: dict) -> str:
     lines = [
         f"kernel bench (cpus={report['cpus']}, repeats={report['repeats']}"
         f"{', quick' if report['quick'] else ''})",
-        f"{'batch':<10} {'inst':>4} {'reference':>10} {'packed':>10} "
-        f"{'vector':>10} {'spdup':>6} {'vec/pkd':>7} {'pruned':>8} "
-        f"{'identical':>9}",
+        f"{'batch':<10} {'inst':>4} {'reference':>10} {'vector':>10} "
+        f"{'spdup':>6} {'pruned':>8} {'identical':>9}",
     ]
     for b in report["batches"]:
         lines.append(
             f"{b['name']:<10} {b['instances']:>4} "
-            f"{b['reference_s'] * 1000:>8.1f}ms {b['packed_s'] * 1000:>8.1f}ms "
+            f"{b['reference_s'] * 1000:>8.1f}ms "
             f"{b['vectorized_s'] * 1000:>8.1f}ms "
-            f"{b['speedup']:>5.2f}x {b['vectorized_vs_packed']:>6.2f}x "
-            f"{b['dp_nodes_pruned']:>8} "
+            f"{b['speedup']:>5.2f}x {b['dp_nodes_pruned']:>8} "
             f"{str(b['results_identical']):>9}"
         )
     return "\n".join(lines)

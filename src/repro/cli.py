@@ -41,7 +41,7 @@ algorithms on an ``.sch`` instance, ``batch`` routes many instances
 through the :mod:`repro.engine` worker pool, ``render`` draws an
 instance, ``generate`` writes a random feasible one, ``reduce``
 emits a Theorem-1/2 NP-completeness instance from a numerical matching
-problem, ``bench`` runs the reference-vs-packed-vs-vectorized kernel benchmark
+problem, ``bench`` runs the DP kernel against its reference oracle
 (the perf-regression harness; see docs/PERFORMANCE.md), ``serve``
 exposes the engine over the network — ``--replicas N`` runs N
 supervised engine replicas behind a failover/hedging router (see
@@ -382,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="benchmark the packed DP kernel against the reference kernel",
+        help="benchmark the DP kernel against the reference kernel",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--check", action="store_true",
-        help="exit 1 if packed is >10%% slower than reference on any "
+        help="exit 1 if the kernel is >10%% slower than reference on any "
              "batch, or if any result digest diverges",
     )
     p_bench.add_argument(

@@ -41,7 +41,6 @@ from repro.core.exact import count_routings, route_exact, route_exact_optimal
 from repro.core.geometry import ChannelGeometry, channel_geometry
 from repro.core.kernels import (
     active_kernel,
-    run_dp_packed,
     run_dp_reference,
     run_dp_vectorized,
 )
@@ -105,8 +104,7 @@ __all__ = [
     "route_one_segment_matching", "one_segment_feasible",
     "one_segment_bipartite_graph",
     "route_dp", "route_dp_with_stats", "DPStats",
-    "active_kernel", "run_dp_packed", "run_dp_reference",
-    "run_dp_vectorized",
+    "active_kernel", "run_dp_reference", "run_dp_vectorized",
     "ChannelGeometry", "channel_geometry",
     "clean_cuts", "decompose", "route_dp_decomposed",
     "route_dp_track_types", "route_dp_track_types_with_stats", "TypedDPStats",

@@ -2,27 +2,24 @@
 
 The Section IV-B DP of :mod:`repro.core.dp` represents each frontier as a
 ``T``-tuple and rebuilds one per edge — an ``O(T)`` allocation repeated
-``O(M·L·T)`` times.  This module provides three interchangeable kernels
-behind one contract:
+``O(M·L·T)`` times.  This module provides two kernels behind one
+contract:
 
+* :func:`run_dp_vectorized` — the production kernel behind
+  :func:`repro.core.dp.route_dp`.  Each frontier is a single packed
+  integer (one fixed-width bit field per track), per-edge work is a few
+  word operations on precomputed masks, and *dominance pruning* drops
+  frontiers that cannot be part of any better completion.  Levels with
+  enough candidate edges run as flat ``numpy`` ``uint64`` arrays: the
+  SWAR identities broadcast across the level, canonical winner selection
+  via one ``lexsort``, and the Pareto filter as a blocked matrix test.
+  Narrow levels, and every level of a channel whose packed frontier does
+  not fit one machine word, run the same steps as a scalar loop on
+  Python ints.
 * :func:`run_dp_reference` — the tuple-based reference implementation
-  (the seed algorithm, now reading its geometry tables from
-  :mod:`repro.core.geometry`);
-* :func:`run_dp_packed` — the fast scalar kernel: each frontier is a
-  single ``int`` (one fixed-width bit field per track), per-edge work is
-  a few machine-word operations on precomputed masks, and *dominance
-  pruning* drops frontiers that cannot be part of any better completion;
-* :func:`run_dp_vectorized` — the array-native kernel: whole DP levels
-  as flat ``numpy`` ``uint64`` arrays, the same SWAR identities
-  broadcast across every frontier of a level at once, canonical winner
-  selection via one ``lexsort``, and the Pareto filter as a batched
-  matrix test.  Levels too narrow to amortize array dispatch fall back
-  to the packed scalar loop per level, so the kernel is adaptive.
-
-Which kernel backs :func:`repro.core.dp.route_dp` is chosen by the
-``REPRO_KERNELS`` environment variable (``packed``, the default,
-``vectorized``, or ``reference``) — the escape hatch for debugging and
-for the equivalence harness.
+  (the seed algorithm, reading its geometry tables from
+  :mod:`repro.core.geometry`): the oracle that the equivalence tests and
+  ``segroute bench --check`` compare the production kernel against.
 
 Packed encoding
 ---------------
@@ -58,18 +55,28 @@ Both kernels record, for each node, the minimum-cost incoming edge,
 breaking exact cost ties toward the smallest ``(parent frontier, track)``
 in lexicographic order.  This makes the returned assignment a pure
 function of the instance — independent of dict iteration order, of the
-kernel, and of whether pruning ran — which is what lets the engine cache
-and ``result_stream_digest`` treat both kernels as bit-identical.
+kernel, of the scalar/numpy path, and of whether pruning ran — which is
+what lets the engine cache and ``result_stream_digest`` treat the
+kernels as bit-identical.
+
+Per-thread state
+----------------
+The pruned-frontier counter and the trace hook are thread-local: one
+process solves on several threads at once (a server's dispatch thread
+and its job threads), and each caller consumes only its own thread's
+work, as with the solve budget of :mod:`repro.substrate.deadline`.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import NodeLimitExceeded, ReproError, RoutingInfeasibleError
+from repro.core.errors import NodeLimitExceeded, RoutingInfeasibleError
 from repro.core.geometry import channel_geometry
 from repro.core.routing import Routing, WeightFunction
 from repro.substrate.deadline import check
@@ -77,11 +84,8 @@ from typing import Optional
 
 __all__ = [
     "DPStats",
-    "KERNELS",
-    "KERNEL_ENV_VAR",
     "active_kernel",
     "run_dp_reference",
-    "run_dp_packed",
     "run_dp_vectorized",
     "consume_dp_pruned",
     "set_kernel_trace",
@@ -90,17 +94,6 @@ __all__ = [
     "consume_kernel_trace",
 ]
 
-#: Selectable kernels, in preference order.
-KERNELS = ("packed", "vectorized", "reference")
-
-#: Environment variable that picks the kernel (default: ``packed``).
-KERNEL_ENV_VAR = "REPRO_KERNELS"
-
-#: Module-level kernel counters, consumed by the engine's metrics
-#: (``dp_nodes_pruned``).  Plain ints mutated under the GIL: exact within
-#: a worker process, best-effort across threads.
-_counters = {"dp_nodes_pruned": 0}
-
 #: Deadline checks (:mod:`repro.substrate.deadline`) per level: every Nth
 #: frontier expansion, and every Nth Pareto item (each scans the level).
 _CHECK_FRONTIERS = 64
@@ -108,50 +101,52 @@ _CHECK_PARETO = 32
 
 
 def active_kernel() -> str:
-    """The kernel selected by ``REPRO_KERNELS`` (default ``packed``)."""
-    value = os.environ.get(KERNEL_ENV_VAR, "packed").strip().lower() or "packed"
-    if value not in KERNELS:
-        raise ReproError(
-            f"unknown {KERNEL_ENV_VAR} value {value!r}; pick from {KERNELS}"
-        )
-    return value
+    """The kernel behind :func:`repro.core.dp.route_dp`."""
+    return "vectorized"
+
+
+class _KernelState(threading.local):
+    """This thread's pruned-frontier counter (consumed by the engine's
+    ``dp_nodes_pruned`` metric) and kernel trace hook.  When tracing is
+    enabled each DP run appends one record (see
+    ``repro.core.dp._run_dp``), which the executor turns into a
+    ``kernel.dp`` span; when disabled the only cost is one attribute
+    read per DP call."""
+
+    def __init__(self) -> None:
+        self.pruned = 0
+        self.tracing = False
+        self.records: list[dict] = []
+
+
+_state = _KernelState()
 
 
 def consume_dp_pruned() -> int:
-    """Return and reset the frontiers-pruned-since-last-call counter."""
-    pruned = _counters["dp_nodes_pruned"]
-    _counters["dp_nodes_pruned"] = 0
+    """Return and reset this thread's frontiers-pruned counter."""
+    pruned, _state.pruned = _state.pruned, 0
     return pruned
 
 
-#: Kernel trace hook: when enabled, each DP run appends one record (see
-#: ``repro.core.dp._run_dp``) which the executor turns into a
-#: ``kernel.dp`` span.  Same consume pattern as ``_counters`` — per
-#: process, cleared on read.  Disabled by default; the only cost when
-#: disabled is one dict lookup per DP call.
-_trace = {"enabled": False, "records": []}
-
-
 def set_kernel_trace(enabled: bool) -> None:
-    """Enable/disable DP kernel trace records in this process."""
-    _trace["enabled"] = bool(enabled)
+    """Enable/disable DP kernel trace records on this thread."""
+    _state.tracing = bool(enabled)
     if not enabled:
-        _trace["records"] = []
+        _state.records = []
 
 
 def kernel_trace_enabled() -> bool:
-    return _trace["enabled"]
+    return _state.tracing
 
 
 def record_kernel_trace(record: dict) -> None:
     """Append one kernel trace record (only called while enabled)."""
-    _trace["records"].append(record)
+    _state.records.append(record)
 
 
 def consume_kernel_trace() -> list[dict]:
-    """Return and reset the records accumulated since the last call."""
-    records = _trace["records"]
-    _trace["records"] = []
+    """Return and reset this thread's records since the last call."""
+    records, _state.records = _state.records, []
     return records
 
 
@@ -160,10 +155,11 @@ class DPStats:
     """Assignment-graph shape: one entry per level (connection).
 
     ``nodes_per_level`` / ``edges_per_level`` count what the kernel
-    actually kept and relaxed — for the packed kernel that is *after*
+    actually kept and relaxed — for the vectorized kernel that is *after*
     dominance pruning; ``nodes_pruned_per_level`` records what pruning
     removed (empty for the reference kernel).  With pruning disabled the
-    packed kernel's node and edge counts equal the reference's exactly.
+    vectorized kernel's node and edge counts equal the reference's
+    exactly, on either of its paths.
     """
 
     nodes_per_level: tuple[int, ...]
@@ -300,7 +296,7 @@ def run_dp_reference(
                 prev = nxt.get(new_frontier)
                 # Keep the min-cost edge; break exact cost ties toward the
                 # lexicographically smallest (parent frontier, track) — the
-                # canonical rule shared with the packed kernel.
+                # canonical rule shared with the vectorized kernel.
                 if (
                     prev is None
                     or new_cost < prev[0]
@@ -342,9 +338,22 @@ def run_dp_reference(
 
 
 # ----------------------------------------------------------------------
-# packed kernel
+# vectorized kernel
 # ----------------------------------------------------------------------
-def run_dp_packed(
+
+#: A level is lifted to the numpy path only when it has at least this
+#: many candidate edges (frontiers × K-feasible tracks); below that the
+#: per-call array dispatch overhead exceeds the scalar loop's cost.
+_VEC_MIN_EDGES = 384
+
+#: Row cap for one block of the batched Pareto filter.  The ``block ×
+#: level`` domination matrix is the kernel's largest allocation, so the
+#: block stays small: at 64 rows max RSS is within a few MB of a
+#: scalar-only run, at the same speed as 1024 rows.
+_VEC_PRUNE_BLOCK = 64
+
+
+def run_dp_vectorized(
     channel: SegmentedChannel,
     connections: ConnectionSet,
     max_segments: Optional[int] = None,
@@ -354,25 +363,45 @@ def run_dp_packed(
     partial: bool = False,
     prune: bool = True,
 ) -> tuple[Optional[Routing], DPStats]:
-    """Packed-frontier DP with dominance pruning.
+    """Packed-frontier DP with dominance pruning, level by level.
 
     Same contract and same returned routing as :func:`run_dp_reference`
     (see the module docstring for why pruning cannot change it);
     ``prune=False`` disables dominance pruning, making the per-level node
     and edge counts equal the reference's exactly — the mode the
-    stats-equivalence tests run in.
+    stats-equivalence tests run in.  ``node_limit`` bounds the nodes this
+    kernel actually *keeps* (i.e. post-pruning), mirroring its memory
+    use; the reference kernel keeps every reachable node, so a run that
+    exceeds the limit there can complete here.
 
-    ``node_limit`` bounds the nodes this kernel actually *keeps* (i.e.
-    post-pruning), mirroring its memory use; the reference kernel keeps
-    every reachable node, so a run that exceeds the limit there can
-    complete here.
+    Each level runs on one of two paths with identical results (same
+    nodes, edges, pruned counts and stored edges):
+
+    * the **numpy path** evaluates the feasibility / re-normalization
+      SWAR identities for every frontier of the level in one broadcast;
+      all candidate edges materialize as parallel arrays and the
+      canonical min-``(cost, parent frontier, track)`` winner per
+      successor is selected with a single ``lexsort`` + first-of-group
+      scan; dominance pruning scans the ``(cost, frontier-lex)``-sorted
+      level as a blocked domination matrix — sound because "dominated by
+      an earlier survivor" and "dominated by any earlier item" coincide
+      (domination is transitive, so the earliest dominator is itself
+      undominated; see ``docs/PERFORMANCE.md``);
+    * the **scalar path** is the same per edge, as a Python dict loop.
+
+    A level takes the numpy path when it has at least ``_VEC_MIN_EDGES``
+    candidate edges — below that, array dispatch costs more than it
+    saves — so narrow levels stay scalar while wide levels (the
+    Theorem 5 ``2^T·T!`` regime) vectorize.  Channels whose packed
+    frontier exceeds one machine word (``T·b > 64``) run the scalar path,
+    on arbitrary-precision ints, at every level.
     """
     connections.check_within(channel)
     conns = connections.connections
     M = len(conns)
     T = channel.n_tracks
     if M == 0:
-        return Routing(channel, connections, ()), DPStats((), (), (), "packed")
+        return Routing(channel, connections, ()), DPStats((), (), (), "vectorized")
 
     geom = channel_geometry(channel)
     seg_index = geom.seg_index
@@ -382,8 +411,12 @@ def run_dp_packed(
     # Field layout: track t occupies bits [(T-1-t)*b, (T-t)*b); the top
     # bit of each field is the SWAR carry guard (frontier values are at
     # most N+1 < 2^(b-1)).  Track 0 in the most significant field makes
-    # packed-int comparison == tuple lexicographic comparison.
+    # packed-int comparison == tuple lexicographic comparison.  uint64
+    # SWAR needs the whole frontier in one machine word; the guard bits
+    # keep every subtraction borrow inside its field, so T*b == 64 is
+    # still safe.
     b = (N + 1).bit_length() + 1
+    fits_word = T * b <= 64
     FM = (1 << b) - 1
     TOT = (1 << (T * b)) - 1
     ones = 0
@@ -409,246 +442,6 @@ def run_dp_packed(
                 continue
             sh = (T - 1 - t) * b
             row.append((
-                1 << (sh + bm1),                      # guard bit for track t
-                TOT ^ (FM << sh),                     # clear mask
-                max(seg_end[t][r] + 1, next_ref) << sh,  # packed new value
-                weight(c, t) if weighted else 0.0,
-                t,
-            ))
-        cand.append(row)
-
-    ref0 = conns[0].left
-    root = ref0 * ones
-    # levels[i]: packed frontier -> (cost, packed parent, track)
-    levels: list[dict[int, tuple[float, int, int]]] = [{root: (0.0, -1, -1)}]
-    nodes_per_level: list[int] = []
-    edges_per_level: list[int] = []
-    pruned_per_level: list[int] = []
-    total_nodes = 1
-
-    for i, c in enumerate(conns):
-        next_ref = conns[i + 1].left if i + 1 < M else N + 1
-        R = next_ref * ones          # replicated re-normalization floor
-        L1 = (c.left + 1) * ones     # replicated left(c) + 1
-        current = levels[-1]
-        nxt: dict[int, tuple[float, int, int]] = {}
-        nxt_get = nxt.get
-        row = cand[i]
-        edges = 0
-        for n, (X, node) in enumerate(current.items()):
-            if not n % _CHECK_FRONTIERS:
-                check()
-            XH = X | H
-            # Guard bit of field t survives the subtraction iff
-            # x[t] >= operand's field, so:
-            #   feasible (x[t] <= left)      <=>  guard cleared vs left+1
-            #   keep own value (x[t] >= ref) <=>  guard set vs ref
-            feas = H & ~(XH - L1)
-            if not feas:
-                continue
-            ge = ((XH - R) & H) >> bm1
-            m = ge * FM  # full-field masks of tracks keeping their value
-            base = (X & m) | (R & (TOT ^ m))  # componentwise max(x, ref)
-            cost = node[0]
-            for gbit, clear, nv, w, t in row:
-                if feas & gbit:
-                    edges += 1
-                    new = (base & clear) | nv
-                    ncost = cost + w if weighted else 0.0
-                    prev = nxt_get(new)
-                    if (
-                        prev is None
-                        or ncost < prev[0]
-                        or (
-                            ncost == prev[0]
-                            and (X, t) < (prev[1], prev[2])
-                        )
-                    ):
-                        nxt[new] = (ncost, X, t)
-        if not nxt:
-            if partial:
-                return None, DPStats(
-                    tuple(nodes_per_level),
-                    tuple(edges_per_level),
-                    tuple(pruned_per_level),
-                    "packed",
-                )
-            raise _infeasible_error(i, conns, max_segments)
-
-        pruned = 0
-        if prune and len(nxt) > 1:
-            # Pareto filter: scan in (cost, frontier-lex) order; every
-            # earlier survivor has cost <= the current item's, so a single
-            # componentwise >= test (SWAR: all guard bits survive the
-            # subtraction) decides domination.  Sorting by the packed int
-            # IS frontier-lex order by construction.
-            if weighted:
-                items = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))
-            else:
-                items = sorted(nxt.items())
-            survivors: list[int] = []
-            keep: dict[int, tuple[float, int, int]] = {}
-            for n, (key, val) in enumerate(items):
-                if not n % _CHECK_PARETO:
-                    check()
-                KH = key | H
-                for s in survivors:
-                    if (KH - s) & H == H:  # key >= s on every track
-                        pruned += 1
-                        break
-                else:
-                    survivors.append(key)
-                    keep[key] = val
-            nxt = keep
-            _counters["dp_nodes_pruned"] += pruned
-
-        pruned_per_level.append(pruned)
-        nodes_per_level.append(len(nxt))
-        edges_per_level.append(edges)
-        total_nodes += len(nxt)
-        if total_nodes > node_limit:
-            if partial:
-                return None, DPStats(
-                    tuple(nodes_per_level),
-                    tuple(edges_per_level),
-                    tuple(pruned_per_level),
-                    "packed",
-                )
-            raise _node_limit_error(node_limit)
-        levels.append(nxt)
-
-    final_level = levels[-1]
-    assert len(final_level) == 1, "normalization should collapse level M"
-    key = next(iter(final_level))
-    assignment = [-1] * M
-    for i in range(M, 0, -1):
-        _cost, parent, t = levels[i][key]
-        assignment[i - 1] = t
-        key = parent
-    routing = Routing(channel, connections, tuple(assignment))
-    return routing, DPStats(
-        tuple(nodes_per_level),
-        tuple(edges_per_level),
-        tuple(pruned_per_level),
-        "packed",
-    )
-
-
-# ----------------------------------------------------------------------
-# vectorized kernel
-# ----------------------------------------------------------------------
-
-#: A level is lifted to the numpy path only when it has at least this
-#: many candidate edges (frontiers × K-feasible tracks); below that the
-#: per-call array dispatch overhead exceeds the scalar loop's cost.
-_VEC_MIN_EDGES = 384
-
-#: Row cap for one block of the batched Pareto filter (bounds the
-#: ``block × level`` domination matrix to a few MB of uint64).
-_VEC_PRUNE_BLOCK = 1024
-
-
-def run_dp_vectorized(
-    channel: SegmentedChannel,
-    connections: ConnectionSet,
-    max_segments: Optional[int] = None,
-    weight: Optional[WeightFunction] = None,
-    node_limit: int = 2_000_000,
-    *,
-    partial: bool = False,
-    prune: bool = True,
-) -> tuple[Optional[Routing], DPStats]:
-    """Array-native packed-frontier DP over whole levels at once.
-
-    Same contract, same packed encoding, and same returned routing as
-    :func:`run_dp_packed`; the per-edge Python dict loop is replaced by
-    flat ``numpy`` batch operations:
-
-    * the feasibility / re-normalization SWAR identities are evaluated
-      for every frontier of the level in one broadcast;
-    * all candidate edges materialize as parallel arrays and the
-      canonical min-``(cost, parent frontier, track)`` winner per
-      successor is selected with a single ``lexsort`` + first-of-group
-      scan (the sort order *is* the packed kernel's tie-break order);
-    * dominance pruning scans the ``(cost, frontier-lex)``-sorted level
-      as a blocked domination matrix — sound because "dominated by an
-      earlier survivor" and "dominated by any earlier item" coincide
-      (domination is transitive, so the earliest dominator is itself
-      undominated; see ``docs/PERFORMANCE.md``).
-
-    Levels with fewer than ``_VEC_MIN_EDGES`` candidate edges run the
-    packed scalar loop instead — array dispatch costs more than it saves
-    there — so narrow instances track ``run_dp_packed`` closely while
-    wide levels (the Theorem 5 ``2^T·T!`` regime) vectorize.
-
-    Channels whose packed encoding exceeds one machine word
-    (``T·b > 64``) fall back to :func:`run_dp_packed` wholesale —
-    arbitrary-precision ints don't vectorize — with the stats relabeled
-    so callers still see which kernel the dispatch selected.
-    """
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - numpy is a core dep
-        raise ReproError(
-            f"{KERNEL_ENV_VAR}=vectorized requires numpy; "
-            "use the packed or reference kernel"
-        ) from exc
-
-    connections.check_within(channel)
-    conns = connections.connections
-    M = len(conns)
-    T = channel.n_tracks
-    if M == 0:
-        return Routing(channel, connections, ()), DPStats((), (), (), "vectorized")
-
-    geom = channel_geometry(channel)
-    seg_index = geom.seg_index
-    seg_end = geom.seg_end
-    N = channel.n_columns
-
-    # Same field layout as run_dp_packed (track 0 most significant, one
-    # guard bit per field).  uint64 SWAR needs the whole frontier in one
-    # machine word; the guard bits keep every subtraction borrow inside
-    # its field, so T*b == 64 is still safe.
-    b = (N + 1).bit_length() + 1
-    if T * b > 64:
-        routing, stats = run_dp_packed(
-            channel, connections, max_segments, weight, node_limit,
-            partial=partial, prune=prune,
-        )
-        return routing, DPStats(
-            stats.nodes_per_level,
-            stats.edges_per_level,
-            stats.nodes_pruned_per_level,
-            "vectorized",
-        )
-
-    FM = (1 << b) - 1
-    TOT = (1 << (T * b)) - 1
-    ones = 0
-    for t in range(T):
-        ones |= 1 << ((T - 1 - t) * b)
-    H = ones << (b - 1)
-    bm1 = b - 1
-
-    weighted = weight is not None
-    # Per-connection candidate rows, exactly as in run_dp_packed (weight
-    # callables observe the same calls in the same order).  The numpy
-    # mirror of a row is built lazily on the first wide level that needs
-    # it, so all-narrow instances never touch numpy.
-    cand: list[list[tuple[int, int, int, float, int]]] = []
-    for i, c in enumerate(conns):
-        next_ref = conns[i + 1].left if i + 1 < M else N + 1
-        l, r = c.left, c.right
-        row: list[tuple[int, int, int, float, int]] = []
-        for t in range(T):
-            if (
-                max_segments is not None
-                and seg_index[t][r] - seg_index[t][l] + 1 > max_segments
-            ):
-                continue
-            sh = (T - 1 - t) * b
-            row.append((
                 1 << (sh + bm1),
                 TOT ^ (FM << sh),
                 max(seg_end[t][r] + 1, next_ref) << sh,
@@ -656,13 +449,10 @@ def run_dp_vectorized(
                 t,
             ))
         cand.append(row)
-    cand_np: list[Optional[tuple]] = [None] * M
 
-    u64 = np.uint64
-    nH = u64(H)
-    nFM = u64(FM)
-    nTOT = u64(TOT)
-    nbm1 = u64(bm1)
+    if fits_word:
+        u64 = np.uint64
+        nH, nFM, nTOT, nbm1 = u64(H), u64(FM), u64(TOT), u64(bm1)
 
     # Level state: packed frontiers in canonical order — (cost,
     # frontier-lex) when weighted, frontier-lex otherwise — held either
@@ -695,26 +485,20 @@ def run_dp_vectorized(
         row = cand[i]
         n = len(keys_list) if keys_list is not None else keys_np.shape[0]
 
-        if n * len(row) >= _VEC_MIN_EDGES:
+        if fits_word and n * len(row) >= _VEC_MIN_EDGES:
             # ---------------- numpy path: the whole level at once.
             check()
             if keys_np is None:
                 keys_np = np.array(keys_list, dtype=u64)
                 cost_np = np.array(cost_list, dtype=np.float64)
                 keys_list = cost_list = None
-            tables = cand_np[i]
-            if tables is None:
-                tables = (
-                    np.array([e[0] for e in row], dtype=u64),
-                    np.array([e[1] for e in row], dtype=u64),
-                    np.array([e[2] for e in row], dtype=u64),
-                    np.array([e[3] for e in row], dtype=np.float64),
-                    np.array([e[4] for e in row], dtype=np.int64),
-                    u64(next_ref * ones),
-                    u64((c.left + 1) * ones),
-                )
-                cand_np[i] = tables
-            gbits, clear, nv, w_np, tracks, R_np, L1_np = tables
+            gbits, clear, nv = (
+                np.array([e[k] for e in row], dtype=u64) for k in range(3)
+            )
+            w_np = np.array([e[3] for e in row], dtype=np.float64)
+            tracks = np.array([e[4] for e in row], dtype=np.int64)
+            R_np = u64(next_ref * ones)
+            L1_np = u64((c.left + 1) * ones)
 
             XH = keys_np | nH
             feas = nH & ~(XH - L1_np)
@@ -781,14 +565,14 @@ def run_dp_vectorized(
                     kparent = kparent[kept]
                     ktrack = ktrack[kept]
                     width = keys.shape[0]
-                _counters["dp_nodes_pruned"] += pruned
+                _state.pruned += pruned
             keys_np = keys
             cost_np = kcost
             tb_parent.append(kparent)
             tb_track.append(ktrack)
         else:
-            # ---------------- scalar path: the packed per-edge loop,
-            # carrying the parent *index* instead of the parent key.
+            # ---------------- scalar path: the per-edge loop on Python
+            # ints, carrying the parent *index* alongside the parent key.
             if keys_list is None:
                 keys_list = keys_np.tolist()
                 cost_list = cost_np.tolist()
@@ -850,7 +634,7 @@ def run_dp_vectorized(
                         survivors.append(key)
                         kept_items.append((key, val))
                 items = kept_items
-                _counters["dp_nodes_pruned"] += pruned
+                _state.pruned += pruned
 
             keys_list = [key for key, _ in items]
             cost_list = [val[0] for _, val in items]

@@ -163,7 +163,7 @@ def _solve(
 ) -> tuple[tuple[int, ...], int]:
     """Solve in-process; returns ``(assignment, dp_nodes_pruned)``.
 
-    The pruning counter is a module-level accumulator in
+    The pruning counter is a per-thread accumulator in
     :mod:`repro.core.kernels`; consuming it immediately before and after
     the solve isolates this attempt's contribution.  With a collector,
     the DP kernel trace hook is enabled for the duration of the solve

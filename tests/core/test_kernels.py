@@ -1,39 +1,50 @@
-"""Kernel equivalence: packed and vectorized DP vs the tuple reference.
+"""Kernel equivalence: the production DP kernel vs the tuple reference.
 
 The load-bearing guarantee of :mod:`repro.core.kernels` is that the
-fast kernels — packed (bit-packed frontiers, SWAR feasibility tests,
-dominance pruning) and vectorized (the same encoding lifted to numpy
-batches over whole levels) — are *observationally identical* to the
+production kernel, :func:`run_dp_vectorized` (bit-packed frontiers,
+SWAR feasibility tests, dominance pruning; wide levels as numpy batches,
+narrow ones as a scalar loop), is *observationally identical* to the
 reference DP: same assignments, same infeasibility errors at the same
 level, same optimal Problem-3 weights, and (with pruning off) the same
-per-level node and edge counts.  The property suite here routes
+per-level node and edge counts.  Its two per-level paths are identical
+to each other, pruned counts included.  The property suite here routes
 hundreds of seeded random instances, mixed across K limits, weight
-objectives, and infeasible cases, and asserts exactly that.
+objectives, and infeasible cases, and asserts exactly that — forcing
+every level onto the numpy path or onto the scalar path where a test
+compares the two.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
+import repro.core.kernels as kernels
 from repro.core.channel import channel_from_breaks
 from repro.core.connection import Connection, ConnectionSet
 from repro.core.dp import route_dp, route_dp_with_stats
-from repro.core.errors import ReproError, RoutingInfeasibleError
+from repro.core.errors import RoutingInfeasibleError
 from repro.core.kernels import (
-    KERNEL_ENV_VAR,
     active_kernel,
     consume_dp_pruned,
-    run_dp_packed,
+    consume_kernel_trace,
     run_dp_reference,
     run_dp_vectorized,
+    set_kernel_trace,
 )
 from repro.core.routing import occupied_length_weight, segment_count_weight
 from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
 )
+
+#: The environment variable that once selected the kernel; it must now be
+#: ignored.
+_RETIRED_ENV_VAR = "REPRO_KERNELS"
+
+PRODUCTION_PRUNE_BLOCK = kernels._VEC_PRUNE_BLOCK
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +92,33 @@ def _total_weight(cs, assignment, weight):
     return sum(weight(c, t) for c, t in zip(cs.connections, assignment))
 
 
+def _force_path(monkeypatch, path):
+    """Put every level of later :func:`run_dp_vectorized` runs on one
+    path: ``"numpy"`` (any level qualifies) or ``"scalar"`` (none does)."""
+    monkeypatch.setattr(
+        kernels, "_VEC_MIN_EDGES", 0 if path == "numpy" else 10**9
+    )
+
+
+def _solve_on(monkeypatch, path, ch, cs, K, weight, **kw):
+    _force_path(monkeypatch, path)
+    return _solve(run_dp_vectorized, ch, cs, K, weight, **kw)
+
+
+def _assert_paths_agree(numpy_run, scalar_run):
+    """The two paths agree on everything: assignment, error message and
+    per-level node, edge and pruned counts."""
+    n_a, n_s, n_err = numpy_run
+    s_a, s_s, s_err = scalar_run
+    assert n_err == s_err
+    assert n_a == s_a
+    if n_a is not None:
+        assert n_s.nodes_per_level == s_s.nodes_per_level
+        assert n_s.edges_per_level == s_s.edges_per_level
+        assert n_s.nodes_pruned_per_level == s_s.nodes_pruned_per_level
+        assert n_s.kernel == s_s.kernel == "vectorized"
+
+
 # ----------------------------------------------------------------------
 # the 300+ instance equivalence property
 # ----------------------------------------------------------------------
@@ -89,14 +127,15 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_packed_matches_reference(self, chunk):
-        """Identical assignments, identical infeasibility messages (hence
-        identical failing level), identical stats modulo pruning counters —
-        across 320 mixed random instances."""
+        """The production kernel vs the reference: identical assignments,
+        identical infeasibility messages (hence identical failing level),
+        identical stats modulo pruning counters — across 320 mixed random
+        instances."""
         for ch, cs, K, weight in self.CORPUS[chunk::8]:
             ref_a, ref_s, ref_err = _solve(run_dp_reference, ch, cs, K, weight)
-            pk_a, pk_s, pk_err = _solve(run_dp_packed, ch, cs, K, weight)
+            pk_a, pk_s, pk_err = _solve(run_dp_vectorized, ch, cs, K, weight)
             np_a, np_s, np_err = _solve(
-                run_dp_packed, ch, cs, K, weight, prune=False
+                run_dp_vectorized, ch, cs, K, weight, prune=False
             )
 
             # The error message embeds the 1-based failing level, so string
@@ -121,33 +160,25 @@ class TestKernelEquivalence:
             ):
                 assert kept <= ref_n
                 assert kept + pruned >= kept  # counters are non-negative
-            assert pk_s.kernel == "packed"
+            assert pk_s.kernel == "vectorized"
             assert ref_s.kernel == "reference"
 
     @pytest.mark.parametrize("chunk", range(8))
-    def test_vectorized_matches_packed(self, chunk):
-        """The array-native kernel is indistinguishable from packed:
-        same assignments, same error messages, and — because both apply
-        the same canonical tie-break and Pareto filter — exactly the
-        same per-level node/edge/pruned counts, pruning on or off."""
+    def test_vectorized_matches_packed(self, chunk, monkeypatch):
+        """The kernel's numpy path is indistinguishable from its scalar
+        path: same assignments, same error messages, and — because both
+        apply the same canonical tie-break and Pareto filter — exactly
+        the same per-level node/edge/pruned counts, pruning on or off, at
+        a one-row Pareto block and at the production block size."""
         for ch, cs, K, weight in self.CORPUS[chunk::8]:
             for kw in ({}, {"prune": False}):
-                pk_a, pk_s, pk_err = _solve(
-                    run_dp_packed, ch, cs, K, weight, **kw
-                )
-                v_a, v_s, v_err = _solve(
-                    run_dp_vectorized, ch, cs, K, weight, **kw
-                )
-                assert pk_err == v_err
-                assert pk_a == v_a
-                if pk_a is None:
-                    continue
-                assert pk_s.nodes_per_level == v_s.nodes_per_level
-                assert pk_s.edges_per_level == v_s.edges_per_level
-                assert (
-                    pk_s.nodes_pruned_per_level == v_s.nodes_pruned_per_level
-                )
-                assert v_s.kernel == "vectorized"
+                scalar = _solve_on(monkeypatch, "scalar", ch, cs, K, weight, **kw)
+                for block in (1, PRODUCTION_PRUNE_BLOCK):
+                    monkeypatch.setattr(kernels, "_VEC_PRUNE_BLOCK", block)
+                    _assert_paths_agree(
+                        _solve_on(monkeypatch, "numpy", ch, cs, K, weight, **kw),
+                        scalar,
+                    )
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_pruning_preserves_problem3_optimum(self, chunk):
@@ -157,7 +188,7 @@ class TestKernelEquivalence:
             if weight is None:
                 continue
             ref_a, _, ref_err = _solve(run_dp_reference, ch, cs, K, weight)
-            pk_a, _, pk_err = _solve(run_dp_packed, ch, cs, K, weight)
+            pk_a, _, pk_err = _solve(run_dp_vectorized, ch, cs, K, weight)
             assert ref_err == pk_err
             if ref_a is None:
                 continue
@@ -174,7 +205,7 @@ class TestKernelEquivalence:
 def test_empty_connection_set():
     ch = random_channel(3, 12, 3.0, seed=1)
     cs = ConnectionSet(())
-    for kernel in (run_dp_reference, run_dp_packed, run_dp_vectorized):
+    for kernel in (run_dp_reference, run_dp_vectorized):
         routing, stats = kernel(ch, cs)
         assert routing.assignment == ()
         assert stats.nodes_per_level == ()
@@ -183,35 +214,40 @@ def test_empty_connection_set():
 def test_single_track_channel():
     ch = channel_from_breaks(10, [(5,)])
     cs = ConnectionSet([Connection(1, 4, "a"), Connection(6, 9, "b")])
-    for kernel in (run_dp_reference, run_dp_packed, run_dp_vectorized):
+    for kernel in (run_dp_reference, run_dp_vectorized):
         routing, _ = kernel(ch, cs)
         assert routing.assignment == (0, 0)
 
 
-def test_node_limit_raises_same_message():
+def test_node_limit_raises_same_message(monkeypatch):
     ch = random_channel(6, 60, 2.0, seed=7)
     rng = random.Random(7)
     cs = _random_connections(rng, 60, 12)
-    ref = _solve(run_dp_reference, ch, cs, None, None, node_limit=3)
-    pk = _solve(run_dp_packed, ch, cs, None, None, prune=False, node_limit=3)
-    vec = _solve(
-        run_dp_vectorized, ch, cs, None, None, prune=False, node_limit=3
-    )
-    assert ref[2] is not None and "node limit" in ref[2]
-    assert ref[2] == pk[2] == vec[2]
+    for node_limit in (3, 10, 30):
+        ref = _solve(run_dp_reference, ch, cs, None, None, node_limit=node_limit)
+        assert ref[2] is not None and "node limit" in ref[2]
+        for path in ("scalar", "numpy"):
+            run = _solve_on(
+                monkeypatch, path, ch, cs, None, None,
+                prune=False, node_limit=node_limit,
+            )
+            assert run[2] == ref[2]
 
 
-def test_partial_mode_returns_stats_instead_of_raising():
+def test_partial_mode_returns_stats_instead_of_raising(monkeypatch):
     # (2,8) spans two segments of every track -> infeasible at level 2
     # under K=1.
     ch = channel_from_breaks(10, [(5,), (5,)])
     cs = ConnectionSet([Connection(1, 4, "a"), Connection(2, 8, "b")])
-    for kernel in (run_dp_reference, run_dp_packed, run_dp_vectorized):
-        with pytest.raises(RoutingInfeasibleError):
-            kernel(ch, cs, 1)
-        routing, stats = kernel(ch, cs, 1, partial=True)
-        assert routing is None
-        assert len(stats.nodes_per_level) == 1
+    for path in (None, "scalar", "numpy"):
+        if path is not None:
+            _force_path(monkeypatch, path)
+        for kernel in (run_dp_reference, run_dp_vectorized):
+            with pytest.raises(RoutingInfeasibleError):
+                kernel(ch, cs, 1)
+            routing, stats = kernel(ch, cs, 1, partial=True)
+            assert routing is None
+            assert len(stats.nodes_per_level) == 1
 
 
 def test_pruned_counter_consumed(monkeypatch):
@@ -219,7 +255,7 @@ def test_pruned_counter_consumed(monkeypatch):
     ch = random_channel(5, 140, 5.0, seed=3)
     rng = random.Random(11)
     cs = _random_connections(rng, 120, 10)
-    _, stats, _ = _solve(run_dp_packed, ch, cs, None, None)
+    _, stats, _ = _solve(run_dp_vectorized, ch, cs, None, None)
     if stats is not None and stats.total_pruned:
         assert consume_dp_pruned() == stats.total_pruned
     assert consume_dp_pruned() == 0  # consumed = reset
@@ -230,91 +266,137 @@ def test_dominance_prunes_on_real_instances():
     the equivalence suite is vacuously testing nothing."""
     total = 0
     for ch, cs, K, weight in TestKernelEquivalence.CORPUS:
-        _, stats, _ = _solve(run_dp_packed, ch, cs, K, weight)
+        _, stats, _ = _solve(run_dp_vectorized, ch, cs, K, weight)
         if stats is not None:
             total += stats.total_pruned
     assert total > 0
 
 
-def test_vectorized_wide_levels_match_packed():
-    """A 10-track channel drives level widths into the hundreds
-    (Theorem 5 growth), which is the regime the numpy path actually
-    runs in — the mixed corpus above stays narrow enough that the
-    adaptive kernel mostly picks the scalar loop."""
+def _wide_instance(conn_seed):
+    """A 10-track channel whose level widths run into the hundreds
+    (Theorem 5 growth): the regime the numpy path runs in unforced."""
     ch = random_channel(10, 30, 4.0, seed=2)
-    cs = random_feasible_instance(ch, 24, seed=41, mean_length=2.2)
+    return ch, random_feasible_instance(ch, 24, seed=conn_seed, mean_length=2.2)
+
+
+def test_vectorized_wide_levels_match_packed(monkeypatch):
+    """On wide levels the numpy path equals the scalar path exactly —
+    the mixed corpus above stays narrow enough that production mostly
+    picks the scalar loop."""
+    ch, cs = _wide_instance(41)
     for kw in ({}, {"prune": False}):
-        pk_r, pk_s = run_dp_packed(ch, cs, None, **kw)
-        v_r, v_s = run_dp_vectorized(ch, cs, None, **kw)
-        assert v_r.assignment == pk_r.assignment
-        assert v_s.nodes_per_level == pk_s.nodes_per_level
-        assert v_s.edges_per_level == pk_s.edges_per_level
-        assert v_s.nodes_pruned_per_level == pk_s.nodes_pruned_per_level
+        scalar = _solve_on(monkeypatch, "scalar", ch, cs, None, None, **kw)
+        _assert_paths_agree(
+            _solve_on(monkeypatch, "numpy", ch, cs, None, None, **kw), scalar
+        )
     # the instance must actually exercise wide levels
-    assert pk_s.max_level_width > 200
+    assert scalar[1].max_level_width > 200
 
 
-def test_vectorized_weighted_wide_levels_match_packed():
-    ch = random_channel(10, 30, 4.0, seed=2)
-    cs = random_feasible_instance(ch, 24, seed=42, mean_length=2.2)
+def test_vectorized_weighted_wide_levels_match_packed(monkeypatch):
+    ch, cs = _wide_instance(42)
     weight = occupied_length_weight(ch)
-    pk_r, _ = run_dp_packed(ch, cs, None, weight)
-    v_r, _ = run_dp_vectorized(ch, cs, None, weight)
-    assert v_r.assignment == pk_r.assignment
+    _assert_paths_agree(
+        _solve_on(monkeypatch, "numpy", ch, cs, None, weight),
+        _solve_on(monkeypatch, "scalar", ch, cs, None, weight),
+    )
 
 
-def test_vectorized_falls_back_when_frontier_exceeds_machine_word():
-    """T*b > 64 cannot pack into uint64; the kernel must delegate to
-    packed (arbitrary-precision ints) and relabel the stats."""
+def test_vectorized_falls_back_when_frontier_exceeds_machine_word(monkeypatch):
+    """T*b > 64 cannot pack into uint64: every level takes the scalar
+    path on Python ints, even where the numpy path would qualify, and
+    the result equals the reference, pruning on or off."""
     ch = random_channel(12, 120, 4.0, seed=1)  # b=8 -> 96 bits
     cs = random_feasible_instance(ch, 10, seed=7, mean_length=3.0)
-    pk_r, pk_s = run_dp_packed(ch, cs, None)
-    v_r, v_s = run_dp_vectorized(ch, cs, None)
-    assert v_r.assignment == pk_r.assignment
-    assert v_s.kernel == "vectorized"
-    assert v_s.nodes_per_level == pk_s.nodes_per_level
+    ref_r, ref_s = run_dp_reference(ch, cs, None)
+    _force_path(monkeypatch, "numpy")
+    for prune in (True, False):
+        v_r, v_s = run_dp_vectorized(ch, cs, None, prune=prune)
+        assert v_r.assignment == ref_r.assignment
+        assert v_s.kernel == "vectorized"
+        if not prune:
+            assert v_s.nodes_per_level == ref_s.nodes_per_level
+            assert v_s.edges_per_level == ref_s.edges_per_level
+    assert ref_s.max_level_width > 1000  # wide enough to qualify
 
 
-def test_vectorized_pruned_counter_matches_packed():
-    ch = random_channel(10, 30, 4.0, seed=2)
-    cs = random_feasible_instance(ch, 24, seed=41, mean_length=2.2)
+def test_vectorized_pruned_counter_matches_packed(monkeypatch):
+    ch, cs = _wide_instance(41)
     consume_dp_pruned()
-    _, pk_s = run_dp_packed(ch, cs, None)
-    assert consume_dp_pruned() == pk_s.total_pruned
-    _, v_s = run_dp_vectorized(ch, cs, None)
-    assert consume_dp_pruned() == v_s.total_pruned == pk_s.total_pruned
-    assert pk_s.total_pruned > 0
+    _force_path(monkeypatch, "scalar")
+    _, sc_s = run_dp_vectorized(ch, cs, None)
+    assert consume_dp_pruned() == sc_s.total_pruned
+    _force_path(monkeypatch, "numpy")
+    _, np_s = run_dp_vectorized(ch, cs, None)
+    assert consume_dp_pruned() == np_s.total_pruned == sc_s.total_pruned
+    assert sc_s.total_pruned > 0
+
+
+def test_kernel_counter_and_trace_are_per_thread():
+    """A solve on one thread neither feeds another thread's pruned
+    counter nor lands in another thread's kernel trace: a server solves
+    on its dispatch thread and on job threads in one process."""
+    ch, cs = _wide_instance(41)
+    consume_dp_pruned()
+    tracing, solved = threading.Event(), threading.Event()
+    seen = {}
+
+    def other_thread():
+        set_kernel_trace(True)
+        tracing.set()
+        solved.wait(60)
+        seen["pruned"] = consume_dp_pruned()
+        seen["records"] = consume_kernel_trace()
+        set_kernel_trace(False)
+
+    thread = threading.Thread(target=other_thread)
+    thread.start()
+    try:
+        assert tracing.wait(60)
+        _, stats = route_dp_with_stats(ch, cs)
+    finally:
+        solved.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert stats.total_pruned > 0
+    assert seen == {"pruned": 0, "records": []}
+    assert consume_dp_pruned() == stats.total_pruned
+    assert consume_kernel_trace() == []  # tracing stayed off here
 
 
 # ----------------------------------------------------------------------
-# env dispatch
+# one kernel: the retired REPRO_KERNELS switch changes nothing
 # ----------------------------------------------------------------------
+_ENV_VALUES = (None, "packed", " Packed ", "vectorized", "reference", "turbo")
+
+
+def _set_env(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv(_RETIRED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(_RETIRED_ENV_VAR, value)
+
+
 def test_active_kernel_default_and_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    assert active_kernel() == "packed"
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    assert active_kernel() == "reference"
-    monkeypatch.setenv(KERNEL_ENV_VAR, " Packed ")
-    assert active_kernel() == "packed"
-    monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-    with pytest.raises(ReproError):
-        active_kernel()
+    for value in _ENV_VALUES:
+        _set_env(monkeypatch, value)
+        assert active_kernel() == "vectorized"
 
 
 def test_route_dp_dispatches_on_env(monkeypatch):
     ch = random_channel(4, 40, 4.0, seed=5)
     rng = random.Random(5)
     cs = _random_connections(rng, 40, 6)
-    results = {}
-    for kernel_name in ("packed", "vectorized", "reference"):
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel_name)
+    ref_a, _, ref_err = _solve(run_dp_reference, ch, cs, None, None)
+    for value in _ENV_VALUES:
+        _set_env(monkeypatch, value)
         try:
             routing, stats = route_dp_with_stats(ch, cs)
-            results[kernel_name] = routing.assignment
-            assert stats.kernel == kernel_name
         except RoutingInfeasibleError as exc:
-            results[kernel_name] = str(exc)
-    assert results["packed"] == results["vectorized"] == results["reference"]
+            assert str(exc) == ref_err
+        else:
+            assert routing.assignment == ref_a
+            assert stats.kernel == "vectorized"
 
 
 def test_route_dp_same_result_both_kernels_weighted(monkeypatch):
@@ -322,11 +404,10 @@ def test_route_dp_same_result_both_kernels_weighted(monkeypatch):
     rng = random.Random(9)
     cs = _random_connections(rng, 50, 8)
     weight = occupied_length_weight(ch)
-    out = {}
-    for kernel_name in ("packed", "vectorized", "reference"):
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel_name)
+    ref_a, _, ref_err = _solve(run_dp_reference, ch, cs, None, weight)
+    for value in _ENV_VALUES:
+        _set_env(monkeypatch, value)
         try:
-            out[kernel_name] = route_dp(ch, cs, weight=weight).assignment
+            assert route_dp(ch, cs, weight=weight).assignment == ref_a
         except RoutingInfeasibleError as exc:
-            out[kernel_name] = str(exc)
-    assert out["packed"] == out["vectorized"] == out["reference"]
+            assert str(exc) == ref_err

@@ -177,13 +177,13 @@ class TestRender:
 
 
 class TestDpNodesPruned:
-    """The packed kernel's pruning counter flows into engine metrics."""
+    """The DP kernel's pruning counter flows into engine metrics."""
 
     def _pruning_instance(self):
         import random
 
         from repro.core.connection import Connection, ConnectionSet
-        from repro.core.kernels import run_dp_packed
+        from repro.core.kernels import run_dp_vectorized
         from repro.generators.random_instances import random_channel
 
         rng = random.Random(0)
@@ -196,7 +196,7 @@ class TestDpNodesPruned:
                 conns.append(Connection(left, right, f"c{j}"))
             cs = ConnectionSet(conns)
             try:
-                _, stats = run_dp_packed(ch, cs)
+                _, stats = run_dp_vectorized(ch, cs)
             except Exception:
                 continue
             if stats.total_pruned:

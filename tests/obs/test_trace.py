@@ -172,7 +172,7 @@ class TestEndToEndTrace:
         (trace,) = build_traces(sink.spans).values()
         kernel = [s for s in trace.spans if s["name"] == "kernel.dp"]
         assert kernel, sorted(trace.names())
-        assert kernel[0]["attrs"]["kernel"] in ("packed", "reference")
+        assert kernel[0]["attrs"]["kernel"] == "vectorized"
         assert kernel[0]["attrs"]["nodes"] > 0
 
     def test_trace_ids_reproducible_across_runs(self):

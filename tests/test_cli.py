@@ -387,8 +387,9 @@ class TestBench:
         assert main([
             "bench", "--quick", "--check", "--repeats", "1", "-o", out_path,
         ]) == 0
-        report = json.loads(open(out_path).read())
-        assert report["schema"] == "kernel-bench/2"
+        with open(out_path) as fh:
+            report = json.load(fh)
+        assert report["schema"] == "kernel-bench/3"
         assert report["batches"]
         for batch in report["batches"]:
             assert batch["results_identical"] is True

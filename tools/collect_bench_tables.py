@@ -9,7 +9,7 @@ Also runs a small routing-engine benchmark and writes a machine-readable
 ``BENCH_engine.json`` (instance size, algorithm, wall-time, cache-hit
 rate, active DP kernel) so the performance trajectory of
 :mod:`repro.engine` is trackable across PRs, and folds in the
-reference-vs-packed kernel timings from
+DP-kernel-vs-reference timings from
 :mod:`repro.analysis.kernel_bench` (also available standalone as
 ``segroute bench``) and the deadline-overrun sweep quoted in
 docs/ENGINE.md.

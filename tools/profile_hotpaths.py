@@ -3,7 +3,7 @@
 
 Routes a mid-size random corpus through each algorithm under cProfile
 and prints the top functions by cumulative time — the view that
-motivated the packed-frontier kernels and the shared geometry tables
+motivated the packed-frontier DP kernel and the shared geometry tables
 (see docs/PERFORMANCE.md).  Use it before and after touching an inner
 loop to see where the time actually went.
 
@@ -19,7 +19,6 @@ Usage:
     python tools/profile_hotpaths.py --algorithm dp
     python tools/profile_hotpaths.py --top 15 --scale 2
     python tools/profile_hotpaths.py --serde --scale 4
-    REPRO_KERNELS=reference python tools/profile_hotpaths.py --algorithm dp
 """
 
 from __future__ import annotations
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
 
     names = [args.algorithm] if args.algorithm else sorted(PROFILES)
     for name in names:
-        print(f"=== {name} (REPRO_KERNELS={active_kernel()}) ===")
+        print(f"=== {name} (kernel {active_kernel()}) ===")
         print(profile_algorithm(name, args.top, args.scale))
     return 0
 
