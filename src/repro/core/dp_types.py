@@ -11,10 +11,20 @@ The DP runs over canonical frontiers (tuples of sorted value-tuples, one
 per type) with edges labelled ``(type, value)``; a concrete track
 assignment is recovered afterwards by replaying the label sequence against
 per-track state.
+
+Each level is built incrementally.  Normalization leaves every value of a
+frontier at or past the left end of the connection it is offered, so a
+type's free tracks are interchangeable and give one successor per type.
+A frontier's types are normalized once, its successors share the tuples
+of the types they leave alone, and since per-type tuples are sorted, the
+free-track test reads only a tuple's first value.  The level dicts, their
+insertion order, and so the assignments and level widths, are those of a
+from-scratch re-normalization per successor.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +48,12 @@ class TypedDPStats:
     @property
     def max_level_width(self) -> int:
         return max(self.nodes_per_level, default=0)
+
+
+def _raise_to(values: tuple, ref: int) -> tuple:
+    """``values`` (sorted) with every entry below ``ref`` raised to it."""
+    p = bisect_right(values, ref)
+    return (ref,) * p + values[p:]
 
 
 def _run_typed_dp(
@@ -103,38 +119,45 @@ def _run_typed_dp(
 
     for i, c in enumerate(conns):
         next_ref = conns[i + 1].left if i + 1 < M else channel.n_columns + 1
+        left = c.left
+        # Every frontier value is >= left(c), so a type's free tracks all
+        # hold left(c) and are interchangeable: one successor per type,
+        # trading the type's smallest normalized value for the value the
+        # connection leaves behind.
+        moves = [
+            (
+                tau,
+                max(blocked_next[i][tau], next_ref),
+                weight(c, type_tracks[tau][0]) if weight is not None else 0.0,
+            )
+            for tau in range(n_types)
+            if seg_ok[i][tau]
+        ]
         nxt: dict[tuple, Node] = {}
         for n, (frontier, (cost, _, _)) in enumerate(levels[-1].items()):
             if not n % 16:  # deadline check every 16 frontiers
                 check()
-            for tau in range(n_types):
-                if not seg_ok[i][tau]:
+            norm: Optional[tuple] = None
+            for tau, new_value, w in moves:
+                v = frontier[tau][0]
+                if v > left:
                     continue
-                values = frontier[tau]
-                # Distinct frontier values <= left(c) are the only distinct
-                # choices within the type.
-                seen: set[int] = set()
-                for v in values:
-                    if v > c.left or v in seen:
-                        continue
-                    seen.add(v)
-                    new_value = max(blocked_next[i][tau], next_ref)
-                    new_values = [max(x, next_ref) for x in values]
-                    new_values.remove(max(v, next_ref))
-                    new_values.append(new_value)
-                    new_values.sort()
-                    new_frontier = tuple(
-                        tuple(new_values)
-                        if k == tau
-                        else tuple(max(x, next_ref) for x in frontier[k])
-                        for k in range(n_types)
-                    )
-                    new_cost = cost + (
-                        weight(c, type_tracks[tau][0]) if weight is not None else 0.0
-                    )
-                    prev = nxt.get(new_frontier)
-                    if prev is None or new_cost < prev[0]:
-                        nxt[new_frontier] = (new_cost, frontier, (tau, v))
+                if norm is None:
+                    # Normalize each type once; successors share the
+                    # tuples of the types they leave alone.
+                    norm = tuple([
+                        values if values[0] >= next_ref else _raise_to(values, next_ref)
+                        for values in frontier
+                    ])
+                rest = norm[tau][1:]
+                j = bisect_right(rest, new_value)
+                new_frontier = (
+                    norm[:tau] + (rest[:j] + (new_value,) + rest[j:],) + norm[tau + 1 :]
+                )
+                new_cost = cost + w
+                prev = nxt.get(new_frontier)
+                if prev is None or new_cost < prev[0]:
+                    nxt[new_frontier] = (new_cost, frontier, (tau, v))
         if not nxt:
             raise RoutingInfeasibleError(
                 f"typed assignment graph empty at level {i + 1}: {conns[i]} "

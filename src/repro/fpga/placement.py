@@ -6,6 +6,17 @@ of its already-placed nets) followed by pairwise-swap improvement.  It is
 deterministic given the seed, and good enough to produce channel routing
 instances with realistic density profiles — the placer's quality is not
 under test, the router is.
+
+Both passes are incremental, and give the answers a from-scratch
+re-measurement would, site for site:
+
+* :func:`place_greedy` prices a candidate site against one precomputed
+  bounding box per net of the cell — the box of that net's pins already
+  placed on *other* cells — instead of re-measuring every net per site;
+* :func:`improve_placement` keeps each net's half-perimeter and, per
+  tried swap, re-measures only the two cells' nets from plain row and
+  column maps.  Costs are integers, so a swap is taken exactly when the
+  re-measured sum is lower.
 """
 
 from __future__ import annotations
@@ -56,6 +67,26 @@ class Placement:
         return sum(self.half_perimeter(net) for net in netlist.nets)
 
 
+def _net_pins(architecture: FPGAArchitecture, netlist: Netlist) -> list[list[tuple[str, int]]]:
+    """Per net, its pins as ``(cell, column)`` with the cell in slot 0
+    (range-checked); in slot ``s`` a pin is ``s * cell_width`` further right."""
+    out = architecture.n_inputs
+    return [
+        [(p.cell, architecture.site_column(0, out if p.kind == "out" else p.index))
+         for p in net.pins()]
+        for net in netlist.nets
+    ]
+
+
+def _nets_by_cell(netlist: Netlist) -> dict[str, set[int]]:
+    """Cell name -> indices of the nets it is on."""
+    nets: dict[str, set[int]] = {name: set() for name in netlist.cells}
+    for j, net in enumerate(netlist.nets):
+        for pin in net.pins():
+            nets[pin.cell].add(j)
+    return nets
+
+
 def place_greedy(
     architecture: FPGAArchitecture,
     netlist: Netlist,
@@ -81,33 +112,46 @@ def place_greedy(
         for r in range(architecture.n_rows)
         for s in range(architecture.cells_per_row)
     ]
+    width = architecture.cell_width
+    pins = _net_pins(architecture, netlist)
+    cell_nets = _nets_by_cell(netlist)
     sites: dict[str, tuple[int, int]] = {}
-    placement = Placement(architecture, sites)
 
     for name in order:
-        nets = netlist.nets_of_cell(name)
+        # Per net of the cell: the box of its pins already placed on other
+        # cells, and this cell's own pin columns.  A net with no pins
+        # placed elsewhere costs the same at every site, so it is left out.
+        boxes = []
+        for j in cell_nets[name]:
+            own, cols, rows = [], [], []
+            for cell, column in pins[j]:
+                if cell == name:
+                    own.append(column)
+                elif cell in sites:
+                    row, slot = sites[cell]
+                    cols.append(slot * width + column)
+                    rows.append(row)
+            if cols:
+                boxes.append(
+                    (min(cols), max(cols), min(rows), max(rows), min(own), max(own))
+                )
         best_site = None
         best_cost = None
         for site in free:
-            sites[name] = site
+            row, slot = site
+            x = slot * width
             cost = 0
-            for net in nets:
-                placed = [p for p in net.pins() if p.cell in sites]
-                if len(placed) < 2:
-                    continue
-                cols = [
-                    placement.pin_column(p.cell, p.kind, p.index) for p in placed
-                ]
-                rows = [sites[p.cell][0] for p in placed]
-                cost += (max(cols) - min(cols)) + (max(rows) - min(rows))
+            for lo_col, hi_col, lo_row, hi_row, lo_own, hi_own in boxes:
+                cost += (max(hi_col, x + hi_own) - min(lo_col, x + lo_own)) + (
+                    max(hi_row, row) - min(lo_row, row)
+                )
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_site = site
-        del sites[name]
         assert best_site is not None
         sites[name] = best_site
         free.remove(best_site)
-    return Placement(architecture, dict(sites))
+    return Placement(architecture, sites)
 
 
 def improve_placement(
@@ -120,25 +164,38 @@ def improve_placement(
     half-perimeter; a few passes over random cell pairs."""
     rng = rng_from(seed)
     sites = dict(placement.sites)
-    current = Placement(placement.architecture, sites)
     names = list(sites)
-    if len(names) < 2:
-        return current
-    affected: dict[str, list[Net]] = {
-        name: netlist.nets_of_cell(name) for name in names
-    }
+    if len(names) < 2 or n_passes < 1:
+        return Placement(placement.architecture, sites)
+    architecture = placement.architecture
+    width = architecture.cell_width
+    row = {name: r for name, (r, _) in sites.items()}
+    col = {name: s * width for name, (_, s) in sites.items()}
+    pins = _net_pins(architecture, netlist)
+    net_cells = [{c for c, _ in net_pins} for net_pins in pins]
+    nets_of = _nets_by_cell(netlist)
+    cell_nets = {name: nets_of.get(name, set()) for name in names}
 
-    def local_cost(cells: set[str]) -> int:
-        nets = {net.name: net for c in cells for net in affected[c]}
-        return sum(current.half_perimeter(net) for net in nets.values())
+    def measure(j: int) -> int:
+        cols = [col[c] + offset for c, offset in pins[j]]
+        rows = [row[c] for c in net_cells[j]]
+        return (max(cols) - min(cols)) + (max(rows) - min(rows))
 
+    # Half-perimeter of each net, kept current across accepted swaps.
+    hpwl = {j: measure(j) for j in set().union(*cell_nets.values())}
     for _ in range(n_passes):
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
         rng.shuffle(pairs)
         for a, b in pairs:
-            before = local_cost({a, b})
-            sites[a], sites[b] = sites[b], sites[a]
-            after = local_cost({a, b})
-            if after >= before:
+            nets = cell_nets[a] | cell_nets[b]
+            before = sum(hpwl[j] for j in nets)
+            row[a], row[b] = row[b], row[a]
+            col[a], col[b] = col[b], col[a]
+            after = {j: measure(j) for j in nets}
+            if sum(after.values()) < before:
+                hpwl.update(after)
                 sites[a], sites[b] = sites[b], sites[a]
-    return Placement(placement.architecture, dict(sites))
+            else:
+                row[a], row[b] = row[b], row[a]
+                col[a], col[b] = col[b], col[a]
+    return Placement(architecture, sites)

@@ -543,7 +543,7 @@ class JobManager:
                 return
             self._finish_aborted(record, exc.reason)
             return
-        except ReproError as exc:
+        except Exception as exc:  # any other raise fails this job only
             record.finished_monotonic = time.monotonic()
             record.state = "failed"
             record.error_type = type(exc).__name__

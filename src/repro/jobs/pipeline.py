@@ -37,11 +37,13 @@ Tracing: with a traced engine and a ``job_id``, the run emits a
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.api import ALGORITHMS
 from repro.core.channel import uniform_channel
 from repro.core.errors import CheckpointError, FormatError, ReproError
 from repro.design.segmentation import geometric_segmentation
@@ -76,6 +78,11 @@ __all__ = [
 ]
 
 _CHANNEL_KINDS = ("geometric", "uniform")
+
+
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (JSON ``true`` is no row count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class PipelineAbort(ReproError):
@@ -117,7 +124,7 @@ class ChipSpec:
         for name in ("rows", "cells_per_row", "inputs", "tracks",
                      "seg_length", "seg_types"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise FormatError(
                     f"chip spec: {name} must be a positive int, got {value!r}"
                 )
@@ -126,19 +133,33 @@ class ChipSpec:
                 f"chip spec: channel_kind must be one of {_CHANNEL_KINDS}, "
                 f"got {self.channel_kind!r}"
             )
+        ratio = self.seg_ratio
+        if not (
+            (_is_int(ratio) or isinstance(ratio, float)) and math.isfinite(ratio)
+            and (ratio > 1 or self.channel_kind != "geometric")
+        ):
+            raise FormatError(
+                "chip spec: seg_ratio must be a finite number, > 1 for a "
+                f"geometric channel, got {ratio!r}"
+            )
         if self.max_segments is not None and (
-            not isinstance(self.max_segments, int) or self.max_segments < 1
+            not _is_int(self.max_segments) or self.max_segments < 1
         ):
             raise FormatError(
                 f"chip spec: max_segments must be a positive int or null, "
                 f"got {self.max_segments!r}"
             )
-        if not isinstance(self.max_rounds, int) or self.max_rounds < 0:
+        if self.algorithm not in ALGORITHMS:
+            raise FormatError(
+                f"chip spec: algorithm must be one of {ALGORITHMS}, "
+                f"got {self.algorithm!r}"
+            )
+        if not _is_int(self.max_rounds) or self.max_rounds < 0:
             raise FormatError(
                 f"chip spec: max_rounds must be an int >= 0, "
                 f"got {self.max_rounds!r}"
             )
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise FormatError(f"chip spec: seed must be an int, got {self.seed!r}")
         # Fail fast on malformed netlist text: a bad submit should be a
         # typed protocol error, not a job that fails minutes later.

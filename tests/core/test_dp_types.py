@@ -1,6 +1,7 @@
 """Tests for the Theorem-7 typed (canonical-frontier) DP."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,13 @@ from repro.core.dp_types import (
     route_dp_track_types,
     route_dp_track_types_with_stats,
 )
-from repro.core.errors import RoutingInfeasibleError
+from repro.core.errors import ReproError, RoutingInfeasibleError
 from repro.core.routing import occupied_length_weight
+from repro.design.segmentation import geometric_segmentation
+from repro.generators.random_instances import (
+    random_feasible_instance,
+    random_uniform_instance,
+)
 
 
 def _two_type_channel(t1: int, t2: int, n: int = 12):
@@ -132,3 +138,68 @@ class TestTypedDP:
         cs = ConnectionSet.from_spans(spans)
         r = route_dp_track_types(ch, cs, max_segments=1)
         r.validate(1)
+
+
+# ----------------------------------------------------------------------
+# Pinned answers: assignments, level widths and errors on a seeded
+# few-type corpus, recorded in tests/data/dp_types_pinned.txt.
+# ----------------------------------------------------------------------
+PINNED_FILE = Path(__file__).resolve().parent.parent / "data" / "dp_types_pinned.txt"
+
+
+def _pinned_cases():
+    """``(label, n_types, seed, options)``; ``weighted`` routes under
+    ``occupied_length_weight``."""
+    for n_types in (2, 3):
+        for seed in range(3):
+            for k in (1, 2, 5, None):
+                yield (f"types={n_types} seed={seed} K={k}", n_types, seed,
+                       {"max_segments": k})
+            yield (f"types={n_types} seed={seed} weighted", n_types, seed,
+                   {"weighted": True})
+    # 317 nodes in all: 100 trips mid-run, 316 at the last level.
+    for limit in (100, 316, 317):
+        yield (f"types=2 seed=0 K=None node_limit={limit}", 2, 0,
+               {"node_limit": limit})
+
+
+def _pinned_outcome(n_types, seed, weighted=False, **options):
+    """One line: ``assignment | nodes_per_level``, or ``Error: message``."""
+    channel = geometric_segmentation(3 * n_types, 32, 3, 2.0, n_types)
+    if seed % 2:
+        connections = random_uniform_instance(10, 32, seed=seed, mean_length=5.0)
+    else:
+        connections = random_feasible_instance(channel, 13, seed=seed)
+    if weighted:
+        options["weight"] = occupied_length_weight(channel)
+    try:
+        routing, stats = route_dp_track_types_with_stats(
+            channel, connections, **options
+        )
+    except ReproError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (" ".join(map(str, routing.assignment)) + " | "
+            + " ".join(map(str, stats.nodes_per_level)))
+
+
+def _pinned_lines():
+    with open(PINNED_FILE, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    return dict(
+        line.split(": ", 1) for line in lines if line and not line.startswith("#")
+    )
+
+
+_PINNED_CASES = list(_pinned_cases())
+_PINNED = _pinned_lines()
+
+
+def test_pinned_file_covers_every_case():
+    assert sorted(_PINNED) == sorted(c[0] for c in _PINNED_CASES)
+
+
+@pytest.mark.parametrize(
+    "label,n_types,seed,options", _PINNED_CASES, ids=[c[0] for c in _PINNED_CASES]
+)
+def test_pinned_answers(label, n_types, seed, options):
+    assert _pinned_outcome(n_types, seed, **options) == _PINNED[label]

@@ -159,6 +159,32 @@ class TestLifecycle:
         assert status["state"] == "cancelled"
         assert "deadline" in (status.get("error") or "")
 
+    def test_raising_job_fails_without_killing_its_worker(
+        self, manager, monkeypatch
+    ):
+        import repro.jobs.manager as manager_module
+
+        def pipeline(spec, **kwargs):
+            if spec.seed == 99:
+                raise RuntimeError("engine blew up")
+            return run_chip_pipeline(spec, **kwargs)
+
+        monkeypatch.setattr(manager_module, "run_chip_pipeline", pipeline)
+        manager.submit({**QUICK, "seed": 99}, job_id="boom")
+        manager.submit(QUICK, job_id="after")
+        failed = _wait(manager, "boom", timeout=20)
+        assert failed["state"] == "failed"
+        assert failed["error_type"] == "RuntimeError"
+        assert failed["error"] == "engine blew up"
+        after = _wait(manager, "after", timeout=20)
+        assert after["state"] == "done"
+        assert after["digest"] == QUICK_DIGEST()
+        assert manager.metrics.counter("jobs.failed") == 1
+        # One worker: "boom" wrote its outcome before "after" started.
+        done_path = os.path.join(manager.jobs_dir, "boom", "done.json")
+        with open(done_path, encoding="utf-8") as fh:
+            assert json.load(fh)["state"] == "failed"
+
 
 class TestRecovery:
     def test_done_jobs_survive_restart(self, tmp_path):

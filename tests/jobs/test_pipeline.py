@@ -62,6 +62,31 @@ class TestChipSpec:
         with pytest.raises(FormatError):
             _spec(netlist_text="this is not a netlist {")
 
+    @pytest.mark.parametrize("field,value", [
+        ("algorithm", "bogus"),
+        ("seg_ratio", "x"),
+        ("seg_ratio", True),
+        ("seg_ratio", None),
+        ("seg_ratio", float("nan")),
+        ("seg_ratio", 1.0),
+        ("seg_ratio", 0),
+        ("rows", True),
+        ("inputs", True),
+        ("seg_types", True),
+        ("max_segments", True),
+        ("max_rounds", True),
+        ("seed", False),
+    ])
+    def test_rejects_malformed_fields_from_payload(self, field, value):
+        payload = _spec().to_payload()
+        payload[field] = value
+        with pytest.raises(FormatError, match=field):
+            ChipSpec.from_payload(payload)
+
+    def test_seg_ratio_bound_is_geometric_only(self):
+        assert _spec(channel_kind="uniform", seg_ratio=1).seg_ratio == 1
+        assert _spec(seg_ratio=3).seg_ratio == 3
+
     def test_build_chip_instance_deterministic(self):
         spec = _spec()
         arch1, nl1, pl1 = build_chip_instance(spec)
@@ -145,3 +170,29 @@ class TestRunChipPipeline:
         payload = reports[0].to_payload()
         assert payload["digest"] == reports[0].digest
         assert payload["round"] == 0
+
+
+#: The first benchmark chips (``perfbench/common.py``'s chip pool) and
+#: the ``(ok, rounds, digest)`` that ``perfbench/expected.json`` records
+#: for each.
+BENCHMARK_CHIPS = {
+    200: (False, 2,
+          "221f4da32ed2a8fa131c183c0dd4bea2ed8e0b0b16210cf592befa26eff6f59b"),
+    201: (True, 1,
+          "4013b053328b3c771d8311d9194860f7a9d06cfbd86508d5e6ac824eb0905456"),
+    202: (True, 1,
+          "dbe9f6f961680f97a010b8d22e4397f57fb93e117483f8d8c328457335585608"),
+    203: (True, 1,
+          "469c3dd670a50e68417339669f7cef540b5a14da3eafebba89a6264463112dce"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_CHIPS))
+def test_benchmark_chip_digests(seed):
+    spec = ChipSpec(
+        netlist_text=dumps_netlist(random_netlist(40, 3, seed=seed)),
+        rows=3, cells_per_row=20, tracks=10, seg_types=2, max_segments=5,
+        seed=seed,
+    )
+    result = run_chip_pipeline(spec)
+    assert (result.ok, len(result.rounds), result.digest) == BENCHMARK_CHIPS[seed]

@@ -106,17 +106,31 @@ def test_protocol_and_spec_errors_are_typed(tmp_path):
                     "v": PROTOCOL_VERSION, "id": "x2", "op": "job.submit",
                     "job_id": "bad", "spec": {"rows": 3},
                 })
+                # Fields the engine would choke on are refused at submit,
+                # never queued as a job that dies on the job thread.
+                bad_fields = [
+                    await client.call({
+                        "v": PROTOCOL_VERSION, "id": f"f{i}",
+                        "op": "job.submit", "job_id": f"bad-{i}",
+                        "spec": {**QUICK, **fields},
+                    })
+                    for i, fields in enumerate([
+                        {"algorithm": "bogus"}, {"seg_ratio": "x"},
+                        {"seg_ratio": 1}, {"rows": True},
+                    ])
+                ]
                 unknown = await client.call({
                     "v": PROTOCOL_VERSION, "id": "x3", "op": "job.results",
                     "job_id": "never-submitted",
                 })
-            return missing_id, bad_spec, unknown
+            return missing_id, bad_spec, bad_fields, unknown
 
-    missing_id, bad_spec, unknown = asyncio.run(main())
+    missing_id, bad_spec, bad_fields, unknown = asyncio.run(main())
     assert missing_id["status"] == STATUS_ERROR
     assert missing_id["error_type"] == "ProtocolError"
-    assert bad_spec["status"] == STATUS_ERROR
-    assert bad_spec["error_type"] == "FormatError"
+    for reply in [bad_spec, *bad_fields]:
+        assert reply["status"] == STATUS_ERROR
+        assert reply["error_type"] == "FormatError"
     assert unknown["status"] == STATUS_ERROR
     assert unknown["error_type"] == "JobNotFound"
 

@@ -1,9 +1,11 @@
 """Tests for the maintenance tooling."""
 
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
 
 from collect_bench_tables import extract_tables  # noqa: E402
 
@@ -42,3 +44,13 @@ def test_blocks_separated_by_blank_line():
     out = extract_tables(SAMPLE)
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert len(blocks) == 2
+
+
+def test_profile_hotpaths_chip_mode():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "profile_hotpaths.py"), "--chip",
+         "--top", "5", "--scale", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "run_chip_pipeline" in proc.stdout

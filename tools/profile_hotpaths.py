@@ -14,11 +14,18 @@ binary v2 via :class:`repro.serve.wire.WireCodec`) and prints per-op
 timings plus bytes on the wire — the view that motivated the
 length-prefixed v2 framing.
 
+``--chip`` profiles whole chip jobs instead: ``run_chip_pipeline`` on
+``10 x --scale`` synthetic chips at the benchmark's chip shape (3 rows x
+20 cells, ``random_netlist(40, 3, seed)``, 10 tracks of 2 segment types,
+K=5) — the view that shows a job's time split between placement and
+the Theorem-7 DP (see docs/PIPELINE.md).
+
 Usage:
     python tools/profile_hotpaths.py                    # all algorithms
     python tools/profile_hotpaths.py --algorithm dp
     python tools/profile_hotpaths.py --top 15 --scale 2
     python tools/profile_hotpaths.py --serde --scale 4
+    python tools/profile_hotpaths.py --chip --top 20
 """
 
 from __future__ import annotations
@@ -221,6 +228,13 @@ def profile_serde(scale: int, repeats: int = 50) -> str:
     return out.getvalue()
 
 
+def _top_functions(profiler: cProfile.Profile, top: int) -> str:
+    out = io.StringIO()
+    stats = pstats.Stats(profiler, stream=out)
+    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
+    return out.getvalue()
+
+
 def profile_algorithm(name: str, top: int, scale: int) -> str:
     spec = PROFILES[name]
     corpus = _build_corpus(spec, scale)
@@ -228,10 +242,29 @@ def profile_algorithm(name: str, top: int, scale: int) -> str:
     profiler.enable()
     _route_corpus(name, spec, corpus)
     profiler.disable()
-    out = io.StringIO()
-    stats = pstats.Stats(profiler, stream=out)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-    return out.getvalue()
+    return _top_functions(profiler, top)
+
+
+def profile_chip(top: int, scale: int) -> str:
+    """cProfile top-N over ``run_chip_pipeline`` on synthetic chips."""
+    from repro.fpga.netlist import random_netlist
+    from repro.io.netlist_format import dumps_netlist
+    from repro.jobs import ChipSpec, run_chip_pipeline
+
+    specs = [
+        ChipSpec(
+            netlist_text=dumps_netlist(random_netlist(40, 3, seed=seed)),
+            rows=3, cells_per_row=20, tracks=10, seg_types=2,
+            max_segments=5, seed=seed,
+        )
+        for seed in range(200, 200 + 10 * scale)
+    ]
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for spec in specs:
+        run_chip_pipeline(spec)
+    profiler.disable()
+    return _top_functions(profiler, top)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -253,8 +286,17 @@ def main(argv: list[str] | None = None) -> int:
         help="profile the wire layer (NDJSON v1 vs binary v2) instead "
              "of the solvers",
     )
+    parser.add_argument(
+        "--chip", action="store_true",
+        help="profile whole chip jobs (run_chip_pipeline) instead of "
+             "single-channel solvers",
+    )
     args = parser.parse_args(argv)
 
+    if args.chip:
+        print(f"=== chip jobs ({10 * args.scale} synthetic chips) ===")
+        print(profile_chip(args.top, args.scale))
+        return 0
     if args.serde:
         print("=== serde (NDJSON v1 vs binary v2) ===")
         print(profile_serde(args.scale))
