@@ -131,11 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --generalized: minimize programmed switches",
     )
     p_route.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes; >1 races the portfolio candidates "
-             "through the engine (default: 1, classic in-process routing)",
-    )
-    p_route.add_argument(
         "--timeout", type=float, default=None,
         help="deadline in seconds; on expiry the engine degrades "
              "exact -> lp -> greedy before giving up",
@@ -601,12 +596,11 @@ def _cmd_route(args: argparse.Namespace) -> int:
         weight = segment_count_weight(channel)
     engine = None
     if (
-        args.timeout is not None or args.jobs > 1 or args.stats
-        or args.trace or args.metrics_out or args.cache_dir
+        args.timeout is not None or args.stats or args.trace
+        or args.metrics_out or args.cache_dir
     ):
-        # Engine path: deadline enforcement, portfolio racing,
-        # persistent caching, and/or observability (tracing and
-        # metrics export).
+        # Engine path: deadline enforcement, persistent caching, and/or
+        # observability (tracing and metrics export).
         from repro.engine import EngineConfig, RoutingEngine
 
         sink = _trace_sink(args)
@@ -618,7 +612,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 channel, conns, max_segments=args.k,
                 weight=None if args.weight == "none" else args.weight,
                 algorithm=args.algorithm, timeout=args.timeout,
-                portfolio=args.jobs > 1,
             )
         finally:
             if engine is not None:

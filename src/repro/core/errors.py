@@ -102,21 +102,11 @@ class EngineTimeout(EngineError):
     """
 
 
-class EngineCancelled(EngineError):
-    """A routing attempt was cancelled before completing.
-
-    Raised for portfolio-race losers whose worker processes were
-    terminated once a winner was found, and for requests abandoned when
-    an engine is shut down.
-    """
-
-
 class WorkerCrashError(EngineError):
     """A worker process died before delivering a result.
 
-    Covers genuine crashes (segfault, OOM kill, ``os._exit``), workers
-    killed by the hang watchdog, and pipe EOFs from portfolio candidates
-    that exited without reporting.  Retryable by default: the crash says
+    Covers genuine crashes (segfault, OOM kill, ``os._exit``) and workers
+    killed by the hang watchdog.  Retryable by default: the crash says
     nothing about the instance, only about the worker.
     """
 

@@ -1,9 +1,9 @@
-"""repro.engine — parallel portfolio routing engine.
+"""repro.engine — parallel routing engine.
 
 The serving layer over :mod:`repro.core`: batch routing across a worker
 pool, a canonical instance cache, per-request deadlines with graceful
-degradation (``exact`` → ``lp`` → ``greedy``), portfolio racing, and
-engine metrics.  See ``docs/ENGINE.md`` for the architecture.
+degradation (``exact`` → ``lp`` → ``greedy``), and engine metrics.
+See ``docs/ENGINE.md`` for the architecture.
 
 Quickstart::
 
@@ -17,7 +17,6 @@ Quickstart::
 
 from repro.core.errors import (
     CheckpointError,
-    EngineCancelled,
     EngineError,
     EngineTimeout,
     TaskQuarantinedError,
@@ -36,7 +35,6 @@ from repro.engine.engine import (
     stats,
 )
 from repro.engine.metrics import Metrics
-from repro.engine.portfolio import race, select_candidates
 from repro.engine.weights import WeightTable
 from repro.engine.resilience import (
     CheckpointJournal,
@@ -61,15 +59,12 @@ __all__ = [
     "key_digest",
     "Metrics",
     "WeightTable",
-    "race",
-    "select_candidates",
     "RetryPolicy",
     "FaultPlan",
     "CheckpointJournal",
     "SupervisedExecutor",
     "EngineError",
     "EngineTimeout",
-    "EngineCancelled",
     "WorkerCrashError",
     "TaskQuarantinedError",
     "CheckpointError",

@@ -1,8 +1,8 @@
 """Engine configuration.
 
-:class:`EngineConfig` gathers every knob of the portfolio routing engine
-in one immutable object so that an engine's behaviour is fully described
-by its config (plus the instance stream it is fed).  All fields have
+:class:`EngineConfig` gathers every knob of the routing engine in one
+immutable object so that an engine's behaviour is fully described by its
+config (plus the instance stream it is fed).  All fields have
 production-sensible defaults; ``EngineConfig()`` is the configuration the
 module-level :func:`repro.engine.route_many` convenience uses.
 """
@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.api import ALGORITHMS
 from repro.engine.resilience.faults import FaultPlan
 from repro.engine.resilience.retry import RetryPolicy
 
@@ -50,13 +51,8 @@ class EngineConfig:
         Degradation sequence tried after the primary algorithm times
         out.  Each rung gets the *remaining* budget; when the last rung
         times out too, the request raises
-        :class:`~repro.core.errors.EngineTimeout`.
-    portfolio:
-        When true, ``route`` races the shape-selected candidate
-        algorithms concurrently and returns the first valid routing
-        (or the best-weight one when a weight objective is set),
-        terminating the losers.  Race winners are never cached (the
-        winner depends on timing); cached answers still serve races.
+        :class:`~repro.core.errors.EngineTimeout`.  Every rung must be
+        one of :data:`repro.core.api.ALGORITHMS`.
     cache:
         Enable the canonical instance cache.
     cache_size:
@@ -104,7 +100,6 @@ class EngineConfig:
     jobs: int = 1
     timeout: Optional[float] = None
     ladder: tuple[str, ...] = ("lp", "greedy1")
-    portfolio: bool = False
     cache: bool = True
     cache_size: int = 4096
     cache_dir: Optional[str] = None
@@ -126,6 +121,11 @@ class EngineConfig:
             raise ValueError("cache_dir requires cache=True")
         if self.watchdog is not None and self.watchdog <= 0:
             raise ValueError(f"watchdog must be positive, got {self.watchdog}")
+        for rung in self.ladder:
+            if rung not in ALGORITHMS:
+                raise ValueError(
+                    f"unknown ladder rung {rung!r}; pick from {ALGORITHMS}"
+                )
 
     @property
     def effective_jobs(self) -> int:

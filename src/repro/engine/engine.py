@@ -1,10 +1,11 @@
-"""The portfolio routing engine.
+"""The routing engine.
 
 :class:`RoutingEngine` is the serving-shaped front end to the paper's
 algorithms: a batch API (:meth:`~RoutingEngine.route_many`) that fans
 requests over a process pool, a canonical instance cache, per-request
-deadlines with graceful degradation, optional portfolio racing, and a
-metrics registry behind :meth:`~RoutingEngine.stats`.
+deadlines with graceful degradation, and a metrics registry behind
+:meth:`~RoutingEngine.stats`.  Every request takes the batch path: the
+single-request :meth:`~RoutingEngine.route` is ``route_many`` of one.
 
 A module-level default engine backs the convenience functions
 :func:`route_many` and :func:`stats` (re-exported from
@@ -23,19 +24,13 @@ import atexit
 import os
 import signal
 import threading
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.api import ALGORITHMS
 from repro.core.channel import SegmentedChannel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import (
-    CheckpointError,
-    EngineError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.core.errors import CheckpointError, EngineError, ValidationError
 from repro.core.routing import Routing
 from repro.engine.cache import (
     InstanceCache,
@@ -47,14 +42,8 @@ from repro.engine.cache_store import CacheStore
 from repro.engine.config import WEIGHT_SPECS, EngineConfig
 from repro.engine.executor import RouteTask, TaskOutcome
 from repro.engine.metrics import Metrics
-from repro.engine.portfolio import race, select_candidates
 from repro.engine.resilience.checkpoint import CheckpointJournal, record_key
-from repro.engine.resilience.retry import backoff_delay
-from repro.engine.resilience.supervisor import (
-    SupervisedExecutor,
-    run_sequential,
-    run_task_resilient,
-)
+from repro.engine.resilience.supervisor import SupervisedExecutor, run_sequential
 from repro.engine.weights import WeightTable
 from repro.obs.trace import (
     ActiveSpan,
@@ -258,35 +247,30 @@ class RoutingEngine:
         weight: Union[None, str, WeightTable] = None,
         algorithm: str = "auto",
         timeout: Optional[float] = None,
-        portfolio: Optional[bool] = None,
     ) -> Routing:
         """Route one instance through the engine.
 
         Like :func:`repro.core.api.route` but with the engine's cache,
-        deadline/degradation, portfolio racing, and metrics.  ``weight``
-        is an objective *name* (``"length"`` / ``"segments"``) or an
+        deadline/degradation, and metrics: it is :meth:`route_many` of a
+        one-instance batch, run in process (``jobs=1``).  ``weight`` is
+        an objective *name* (``"length"`` / ``"segments"``) or an
         explicit :class:`~repro.engine.weights.WeightTable` rather than
         a callable so requests can cross process boundaries; for
         arbitrary weight callables use the core API directly (or
         tabulate them with :meth:`WeightTable.from_function`).
 
-        Raises the task's typed error on failure — in particular
+        Raises the request's typed error on failure — in particular
         :class:`~repro.core.errors.EngineTimeout` when the deadline
         expires on every degradation rung.
         """
-        result = self._route_one(
-            channel, connections,
-            max_segments=max_segments,
-            weight=self._check_weight(weight),
-            algorithm=self._check_algorithm(algorithm),
-            timeout=self.config.timeout if timeout is None else timeout,
-            portfolio=self.config.portfolio if portfolio is None else portfolio,
+        (result,) = self.route_many(
+            [(channel, connections)], max_segments=max_segments,
+            weight=weight, algorithm=algorithm, jobs=1, timeout=timeout,
         )
-        if result.routing is None:
-            outcome = TaskOutcome(
+        if not result.ok:
+            TaskOutcome(
                 index=0, error_type=result.error_type, error=result.error
-            )
-            outcome.raise_error()
+            ).raise_error()
         return result.routing
 
     def route_cached(
@@ -331,139 +315,6 @@ class RoutingEngine:
         self.metrics.incr("requests")
         self.metrics.incr("cache.hits")
         return result
-
-    def _route_one(
-        self,
-        channel: SegmentedChannel,
-        connections: ConnectionSet,
-        max_segments: Optional[int],
-        weight,
-        algorithm: str,
-        timeout: Optional[float],
-        portfolio: bool,
-    ) -> BatchResult:
-        self._ensure_open()
-        self.metrics.incr("requests")
-        result = BatchResult(
-            index=0, channel=channel, connections=connections,
-            max_segments=max_segments,
-        )
-        key = canonical_key(channel, connections, max_segments, weight, algorithm)
-        collector, root = self._start_trace(self._next_batch(), 0, key, algorithm)
-        if self.config.cache:
-            assignment = self._cache_lookup(key, channel, collector, root)
-            if assignment is not None:
-                self.metrics.incr("cache.hits")
-                self._finish_hit(result, assignment, collector, root)
-                if result.ok:
-                    self._finish_trace(collector, root, result)
-                    return result
-            else:
-                self.metrics.incr("cache.misses")
-
-        start = time.monotonic()
-        if portfolio:
-            outcome = self._race_one(
-                channel, connections, max_segments, weight, algorithm, timeout,
-                collector, root,
-            )
-        else:
-            outcome = run_task_resilient(
-                RouteTask(
-                    index=0, channel=channel, connections=connections,
-                    max_segments=max_segments, weight_spec=weight,
-                    algorithm=algorithm, timeout=timeout,
-                    ladder=self.config.ladder, seed=self.config.seed,
-                    task_key=repr(key),
-                    trace_id=collector.trace_id if collector else "",
-                    trace_parent=root.span_id if root else "",
-                ),
-                seed=self.config.seed, policy=self.config.retry,
-                fault_plan=self.config.fault_plan, metrics=self.metrics,
-            )
-        outcome.duration = time.monotonic() - start
-        if collector is not None:
-            collector.adopt(outcome.spans)
-        # A race winner depends on timing, and the key has no portfolio
-        # part: caching it would hand later non-race requests (and any
-        # engine sharing cache_dir) a timing-dependent answer.
-        self._absorb(result, outcome, None if portfolio else key)
-        self._finish_trace(collector, root, result)
-        return result
-
-    def _race_one(
-        self,
-        channel: SegmentedChannel,
-        connections: ConnectionSet,
-        max_segments: Optional[int],
-        weight,
-        algorithm: str,
-        timeout: Optional[float],
-        collector: Optional[SpanCollector] = None,
-        root: Optional[ActiveSpan] = None,
-    ) -> TaskOutcome:
-        """Run one portfolio race, normalized to a :class:`TaskOutcome`.
-
-        A race whose workers *die* (rather than fail or time out) is
-        retried with backoff under the engine's
-        :class:`~repro.engine.resilience.RetryPolicy` — crashed racers
-        say nothing about the instance — and quarantined past the
-        crash budget like any poison task.
-        """
-        candidates = (
-            select_candidates(channel, connections, max_segments, weight)
-            if algorithm == "auto" else (algorithm,)
-        )
-        self.metrics.incr("races")
-        outcome = TaskOutcome(index=0)
-        policy = self.config.retry
-        race_key = f"race:{algorithm}:{weight}:{max_segments}"
-        crashes = 0
-        race_span = None
-        if collector is not None:
-            race_span = collector.start(
-                "race", parent_id=root.span_id, candidates=list(candidates)
-            )
-        trace_ctx = (
-            (collector.trace_id, race_span.span_id)
-            if collector is not None else None
-        )
-        try:
-            while True:
-                try:
-                    won = race(channel, connections, max_segments, weight,
-                               candidates, timeout, trace=trace_ctx)
-                except WorkerCrashError as exc:
-                    crashes += 1
-                    if crashes >= policy.max_worker_crashes:
-                        self.metrics.incr("tasks_quarantined")
-                        outcome.error_type = type(exc).__name__
-                        outcome.error = str(exc)
-                        return outcome
-                    self.metrics.incr("retries_total")
-                    time.sleep(
-                        backoff_delay(policy, crashes, self.config.seed, race_key)
-                    )
-                    continue
-                except Exception as exc:  # typed errors recorded, re-raised by caller
-                    outcome.error_type = type(exc).__name__
-                    outcome.error = str(exc)
-                    outcome.timed_out = outcome.error_type == "EngineTimeout"
-                    return outcome
-                break
-            outcome.assignment = won.assignment
-            outcome.algorithm = won.algorithm
-            outcome.dp_nodes_pruned = won.dp_nodes_pruned
-            if collector is not None:
-                collector.adopt(won.spans)
-                race_span.set(winner=won.algorithm, cancelled=won.cancelled)
-            self.metrics.incr("cancelled", won.cancelled)
-            return outcome
-        finally:
-            if race_span is not None:
-                if outcome.error_type:
-                    race_span.set(error=outcome.error_type)
-                race_span.finish()
 
     # ------------------------------------------------------------------
     # batch API
@@ -873,10 +724,7 @@ class RoutingEngine:
             replay_span.finish()
 
     def _absorb(self, result: BatchResult, outcome: TaskOutcome, key) -> None:
-        """Fold a task outcome into a batch result + metrics + cache.
-
-        ``key=None`` leaves the cache untouched.
-        """
+        """Fold a task outcome into a batch result + metrics + cache."""
         result.duration = outcome.duration
         result.fallbacks = outcome.fallbacks
         result.timed_out = outcome.timed_out
@@ -903,7 +751,7 @@ class RoutingEngine:
         result.routing = routing
         result.algorithm = outcome.algorithm
         self.metrics.observe(f"latency.{outcome.algorithm}", outcome.duration)
-        if self.config.cache and key is not None:
+        if self.config.cache:
             self.cache.store(key, result.channel, outcome.assignment)
 
     @staticmethod

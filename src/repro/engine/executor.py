@@ -35,7 +35,6 @@ all.  With no ``trace_id`` (the default) none of this code runs.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -97,13 +96,6 @@ def resolve_weight(
     raise ValueError(f"unknown weight spec {weight_spec!r}")
 
 
-def _mp_context() -> multiprocessing.context.BaseContext:
-    """Fork when available (fast, no pickling of the worker payload);
-    spawn otherwise — the payload is picklable either way."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 @dataclass(frozen=True)
 class RouteTask:
     """One routing request, picklable for pool submission."""
@@ -132,7 +124,6 @@ class TaskOutcome:
     duration: float = 0.0
     fallbacks: int = 0
     timed_out: bool = False
-    cache_hit: bool = False
     error_type: Optional[str] = None
     error: Optional[str] = None
     dp_nodes_pruned: int = 0

@@ -7,8 +7,7 @@ or print them.  The engine records:
 
 counters
     ``requests``, ``cache.hits``, ``cache.misses``, ``timeouts``,
-    ``fallbacks``, ``races``, ``cancelled``, ``errors``,
-    ``dp_nodes_pruned`` (frontiers dropped by the DP kernel's
+    ``fallbacks``, ``errors``, ``dp_nodes_pruned`` (frontiers dropped by the DP kernel's
     dominance pruning — see ``docs/PERFORMANCE.md``), plus the
     resilience layer's ``retries_total``, ``tasks_quarantined``,
     ``worker_crashes``, ``workers_killed`` (hang-watchdog SIGKILLs),

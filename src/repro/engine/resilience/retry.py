@@ -38,7 +38,6 @@ __all__ = ["RetryPolicy", "backoff_delay", "DEFAULT_RETRYABLE"]
 DEFAULT_RETRYABLE = (
     WorkerCrashError.__name__,
     ValidationError.__name__,
-    "EngineCancelled",
 )
 
 

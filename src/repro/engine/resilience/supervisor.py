@@ -19,9 +19,9 @@ This module is the fault-tolerant replacement for the engine's plain
     ``RetryPolicy.max_worker_crashes`` (see :mod:`.retry`) instead of
     cycling the pool forever.
 
-* :func:`run_task_resilient` — the sequential path (``jobs == 1`` and
-  single-request routing).  The same retry/quarantine ledger applies;
-  injected crashes and hangs are simulated as
+* :func:`run_task_resilient` — the sequential path (``jobs == 1``, which
+  single-request routing always takes).  The same retry/quarantine
+  ledger applies; injected crashes and hangs are simulated as
   :class:`~repro.core.errors.WorkerCrashError` outcomes since there is
   no separate worker to kill.
 
@@ -35,6 +35,7 @@ batches complete identically with or without faults.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -48,7 +49,6 @@ from repro.core.routing import Routing
 from repro.engine.executor import (
     RouteTask,
     TaskOutcome,
-    _mp_context,
     run_task,
     worker_initializer,
 )
@@ -64,6 +64,14 @@ _POLL_INTERVAL = 0.05
 
 #: Exit code used by injected worker crashes (simulating an OOM kill).
 _CRASH_EXIT = 66
+
+
+def _mp_context() -> multiprocessing.context.BaseContext:
+    """Fork when available (fast, no pickling of the worker payload);
+    spawn otherwise — the payload is picklable either way."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
 
 # ----------------------------------------------------------------------
 # worker side

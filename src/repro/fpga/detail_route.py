@@ -18,11 +18,10 @@ two backends:
   parallel, hit the canonical instance cache (including a shared
   persistent ``--cache-dir`` tier), and can be checkpoint-journaled.
 
-With an engine configured for parity (``timeout=None``,
-``portfolio=False`` — the defaults) the two backends are bit-identical:
-the engine runs the same core ``route()`` on each instance, records the
-same typed error names, and cache replay reconstructs assignments
-positionally.  :func:`chip_digest` hashes exactly the fields both
+With an engine configured for parity (``timeout=None``, the default)
+the two backends are bit-identical: the engine runs the same core
+``route()`` on each instance, records the same typed error names, and
+cache replay reconstructs assignments positionally.  :func:`chip_digest` hashes exactly the fields both
 backends agree on, so serial and engine-backed chip routings can be
 compared byte-for-byte (the regression tests assert this).
 """

@@ -10,10 +10,9 @@ the long-running-work half of the serving tier:
   admission gate: chip jobs never enter the single-channel latency
   queue, so they cannot starve it);
 * **its own engine** — jobs solve on a dedicated
-  :class:`~repro.engine.RoutingEngine` (``timeout=None``, no
-  portfolio) so results are digest-identical to the offline serial
-  path, while sharing the persistent ``cache_dir`` tier with the
-  latency engine;
+  :class:`~repro.engine.RoutingEngine` (``timeout=None``) so results
+  are digest-identical to the offline serial path, while sharing the
+  persistent ``cache_dir`` tier with the latency engine;
 * **per-job deadline** — enforced at round granularity through the
   pipeline's abort hook (a deadline abort is final and persisted);
 * **durability** — with ``jobs_dir``, each job persists its spec at

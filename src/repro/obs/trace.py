@@ -3,7 +3,7 @@
 One *trace* is the full story of one routing request: a tree of *spans*
 rooted at the engine-side ``request`` span, with children for cache
 lookups, journal writes, worker-side execution (``task`` → ``attempt`` →
-``solve`` → ``kernel.dp``), portfolio races, and retries.  See
+``solve`` → ``kernel.dp``), and retries.  See
 ``docs/OBSERVABILITY.md`` for the span taxonomy and schema.
 
 Design constraints, in order:
@@ -16,14 +16,14 @@ Design constraints, in order:
   batch sequence number, and the request's canonical task key — two runs
   of the same batch produce the same trace IDs, so traces can be diffed
   across runs.  Span IDs are sequence numbers under a per-collector
-  prefix (parent ``p``, worker attempt ``w<n>:``, racer ``c:<alg>:``),
-  unique within a trace without any cross-process coordination.
+  prefix (parent ``p``, worker attempt ``w<n>:``), unique within a
+  trace without any cross-process coordination.
 * **Spans cross process boundaries as plain dicts.**  Worker processes
   cannot reach the parent's sink; they accumulate spans in a local
   :class:`SpanCollector` and ship them back inside the result
-  (``TaskOutcome.spans`` or the race pipe message).  The parent
-  adopts them into the request's collector, so the emitted trace is one
-  connected tree even when five processes contributed spans.
+  (``TaskOutcome.spans``).  The parent adopts them into the request's
+  collector, so the emitted trace is one connected tree even when
+  several processes contributed spans.
 
 A span on the wire (one JSONL line in a trace file)::
 

@@ -39,7 +39,7 @@ router↔replica hop negotiates v2):
   the hedge delay (fixed ``hedge_ms``, or the observed ``p`` latency
   percentile once enough samples exist), a second attempt is raced on
   the next ring replica; the first digest-valid response wins and the
-  loser is cancelled exactly once — portfolio racing one layer up.
+  loser is cancelled exactly once.
 * **admission, lifted** — each replica gets its own token bucket and
   in-flight bound at the router (``replica_rate`` / ``replica_burst`` /
   ``replica_queue``); a replica over budget is spilled past to the next

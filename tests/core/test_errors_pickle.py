@@ -1,9 +1,8 @@
 """Every engine-raised error must survive a process boundary.
 
 The engine ships failures from forked workers back to the parent — as
-pickled exceptions (pool futures), as ``(type_name, message)`` tuples
-over pipes, and as ``TaskOutcome.error_type`` strings.  All three paths
-require that each :class:`ReproError` subclass (a) pickle round-trips
+pickled exceptions (pool futures) and as ``TaskOutcome.error_type``
+strings.  Both paths require that each :class:`ReproError` subclass (a) pickle round-trips
 preserving its concrete type and message, and (b) is resolvable by name
 from :mod:`repro.core.errors` so ``TaskOutcome.raise_error`` re-raises
 the *typed* exception, not a generic one.

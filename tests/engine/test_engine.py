@@ -1,7 +1,6 @@
 """RoutingEngine: batch equivalence, caching, deadlines, degradation,
-portfolio racing, and determinism across worker counts."""
+single-request routing, and determinism across worker counts."""
 
-import multiprocessing
 import time
 
 import pytest
@@ -9,9 +8,9 @@ import pytest
 from repro.core.api import route
 from repro.core.channel import channel_from_breaks, unsegmented_channel
 from repro.core.connection import ConnectionSet
-from repro.core.errors import EngineTimeout, RoutingInfeasibleError
+from repro.core.errors import EngineTimeout, ReproError, RoutingInfeasibleError
 from repro.core.npc import build_two_segment_instance, normalize_nmts
-from repro.engine import EngineConfig, RoutingEngine, select_candidates
+from repro.engine import EngineConfig, RoutingEngine
 from repro.engine.executor import attempt_route
 from repro.generators.paper_examples import (
     example1_nmts,
@@ -24,9 +23,8 @@ from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
 )
+from repro.obs.trace import ListTraceSink
 from repro.substrate.deadline import check
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def paper_corpus():
@@ -257,6 +255,16 @@ class TestDeadlines:
         assert counters["timeouts"] == 1
         assert counters["fallbacks"] == 1
 
+    def test_unknown_ladder_rung_rejected(self):
+        # An unknown rung would only fail once a primary timed out, and
+        # run_task skips failing rungs, so the request would time out
+        # with no fallback: reject it when the config is built.
+        with pytest.raises(ValueError, match="'greedy'"):
+            EngineConfig(ladder=("greedy",))
+        with pytest.raises(ValueError, match="'nope'"):
+            EngineConfig(ladder=("lp", "nope"))
+        assert EngineConfig().ladder == ("lp", "greedy1")  # default accepted
+
     def test_solver_crash_fails_only_its_request(self, monkeypatch):
         # A timed attempt turns any exception (deep backtracking can hit
         # RecursionError) into that request's typed error; on the
@@ -297,99 +305,6 @@ class TestDeadlines:
         assert first.timed_out or first.ok
 
 
-class TestPortfolio:
-    def test_candidates_follow_shape(self):
-        assert select_candidates(
-            fig3_channel(), fig3_connections(), 1, None
-        ) == ("greedy1", "matching")
-        identical = channel_from_breaks(8, [(4,), (4,)])
-        conns = ConnectionSet.from_spans([(1, 3)])
-        assert select_candidates(identical, conns, None, None)[0] == "left_edge"
-        assert 2 <= len(select_candidates(
-            fig3_channel(), fig3_connections(), None, "length"
-        )) <= 3
-
-    def test_race_returns_valid_routing(self):
-        engine = RoutingEngine()
-        routing = engine.route(
-            fig3_channel(), fig3_connections(), max_segments=1,
-            portfolio=True,
-        )
-        routing.validate(1)
-        assert engine.stats()["counters"]["races"] == 1
-
-    def test_race_weighted_picks_minimum(self):
-        from repro.core.routing import occupied_length_weight
-
-        engine = RoutingEngine()
-        routing = engine.route(
-            fig3_channel(), fig3_connections(), max_segments=1,
-            weight="length", portfolio=True,
-        )
-        # K=1, length weight: must match the matching algorithm's optimum.
-        w = occupied_length_weight(fig3_channel())
-        expected = route(
-            fig3_channel(), fig3_connections(), max_segments=1,
-            weight=w, algorithm="matching",
-        )
-        assert routing.total_weight(w) == expected.total_weight(w)
-
-    def test_race_infeasible_raises(self):
-        engine = RoutingEngine()
-        with pytest.raises(RoutingInfeasibleError):
-            engine.route(
-                unsegmented_channel(1, 6),
-                ConnectionSet.from_spans([(1, 3), (2, 5)]),
-                portfolio=True,
-            )
-
-    def test_race_winners_are_not_cached(self, tmp_path):
-        """A race winner depends on timing, and the cache key has no
-        portfolio part: later non-race requests must get the plain
-        engine answer, on the racing engine and on any engine sharing
-        its cache_dir."""
-        from repro.serve.loadgen import build_corpus
-
-        corpus = build_corpus(
-            40, 3, n_tracks=10, n_columns=24, n_connections=8,
-            max_segments=2,
-        )
-        instances = [(channel, conns) for channel, conns, _ in corpus]
-        expected = [
-            route(channel, conns, max_segments=2).assignment
-            for channel, conns in instances
-        ]
-        cache_dir = str(tmp_path / "cache")
-        racer = RoutingEngine(EngineConfig(cache_dir=cache_dir))
-        for channel, conns in instances:
-            racer.route(channel, conns, max_segments=2, portfolio=True)
-        fresh = RoutingEngine(EngineConfig(cache_dir=cache_dir))
-        shared = fresh.route_many(instances, max_segments=2)
-        fresh.close()
-        same = racer.route_many(instances, max_segments=2)
-        racer.close()
-        assert [r.routing.assignment for r in shared] == expected
-        assert [r.routing.assignment for r in same] == expected
-
-    @pytest.mark.skipif(not _HAS_FORK, reason="slow-candidate fake needs fork")
-    def test_race_cancels_losers(self, monkeypatch):
-        def hang(*args, **kwargs):
-            time.sleep(60)
-
-        monkeypatch.setattr("repro.core.api.route_exact_optimal", hang)
-        engine = RoutingEngine()
-        start = time.monotonic()
-        # Weighted race: waits out the deadline for the hung candidate,
-        # then returns the best finished routing and cancels the rest.
-        routing = engine.route(
-            fig3_channel(), fig3_connections(), max_segments=1,
-            weight="length", portfolio=True, timeout=2.0,
-        )
-        assert time.monotonic() - start < 8.0
-        routing.validate(1)
-        assert engine.stats()["counters"]["cancelled"] >= 1
-
-
 class TestSingleRoute:
     def test_route_raises_typed_errors(self):
         engine = RoutingEngine()
@@ -398,6 +313,48 @@ class TestSingleRoute:
                 unsegmented_channel(1, 6),
                 ConnectionSet.from_spans([(1, 3), (2, 5)]),
             )
+
+    def test_route_is_route_many_of_one(self):
+        """``route`` answers, counts and traces exactly as a one-instance
+        ``route_many(..., jobs=1)`` on a twin engine."""
+        from repro.core.routing import occupied_length_weight
+
+        fig3 = (fig3_channel(), fig3_connections())
+        infeasible = (
+            unsegmented_channel(1, 6),
+            ConnectionSet.from_spans([(1, 3), (2, 5)]),
+        )
+        weighted = {"max_segments": 1, "weight": "length"}
+        requests = [(inst, {}) for inst in paper_corpus()]
+        requests += [(infeasible, {}), (fig3, {}), (fig3, weighted)]
+        single_sink, batch_sink = ListTraceSink(), ListTraceSink()
+        single = RoutingEngine(trace_sink=single_sink)
+        batch = RoutingEngine(trace_sink=batch_sink)
+        for (channel, conns), kwargs in requests:
+            seen = len(single_sink.spans)
+            try:
+                routing = single.route(channel, conns, **kwargs)
+                got = routing.assignment
+            except ReproError as exc:
+                got = (type(exc).__name__, str(exc))
+            (result,) = batch.route_many([(channel, conns)], jobs=1, **kwargs)
+            want = (
+                result.routing.assignment if result.ok
+                else (result.error_type, result.error)
+            )
+            assert got == want
+            assert {s["trace_id"] for s in single_sink.spans[seen:]} == {
+                result.trace_id
+            }
+        assert single.stats()["counters"] == batch.stats()["counters"]
+        counters = single.stats()["counters"]
+        assert counters["cache.hits"] == 1  # the repeated fig3 request
+        assert counters["errors"] == 1  # the infeasible instance
+        # The last request (K=1, length weight) must match the matching
+        # algorithm's optimum.
+        w = occupied_length_weight(fig3_channel())
+        expected = route(*fig3, max_segments=1, weight=w, algorithm="matching")
+        assert routing.total_weight(w) == expected.total_weight(w)
 
     def test_unknown_algorithm_rejected(self):
         engine = RoutingEngine()

@@ -1,7 +1,7 @@
 """Observability layer: span schema, collectors, sinks, end-to-end traces.
 
-The round-trip tests drive real engine batches (worker pool, deadline
-children, portfolio races) through a trace sink and assert that every
+The round-trip tests drive real engine batches (worker pool, deadlines,
+single-request routing) through a trace sink and assert that every
 span written parses against the schema, that parent/child IDs link into
 one connected tree per request, and that worker-side spans show up in
 the parent's trace.
@@ -152,17 +152,6 @@ class TestEndToEndTrace:
         ]
         assert len(hits) == 1
         assert "cache.replay" in hits[0].names()
-
-    def test_portfolio_race_spans(self):
-        sink = ListTraceSink()
-        engine = RoutingEngine(EngineConfig(jobs=2), trace_sink=sink)
-        (inst,) = _instances(1)
-        engine.route(*inst, portfolio=True)
-        (trace,) = build_traces(sink.spans).values()
-        names = trace.names()
-        assert "race" in names
-        assert "candidate" in names
-        assert any(s["span_id"].startswith("c:") for s in trace.spans)
 
     def test_kernel_spans_for_dp(self):
         sink = ListTraceSink()

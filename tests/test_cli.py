@@ -61,9 +61,11 @@ class TestRouteEngineFlags:
         assert main(["route", instance_file, "--k", "1", "--timeout", "30"]) == 0
         assert "routing of 5 connections" in capsys.readouterr().out
 
-    def test_route_with_jobs_races_portfolio(self, instance_file, capsys):
-        assert main(["route", instance_file, "--k", "1", "--jobs", "2"]) == 0
-        assert "routing of 5 connections" in capsys.readouterr().out
+    def test_route_has_no_jobs_flag(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", instance_file, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_route_stats_flag(self, instance_file, capsys):
         assert main(["route", instance_file, "--k", "1", "--stats"]) == 0
