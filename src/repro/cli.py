@@ -4,7 +4,7 @@ Usage (also available as ``python -m repro``)::
 
     segroute route INSTANCE.sch|@name [--k K] [--algorithm ALG] [--weight length]
                                  [--format text|csv|json]
-                                 [--jobs N] [--timeout S] [--stats]
+                                 [--timeout S] [--stats]
                                  [--trace TRACE.jsonl] [--metrics-out STATS.json]
     segroute batch [INSTANCE ...] [--manifest FILE.jsonl] [--jobs N]
                    [--timeout S] [--k K] [--algorithm ALG] [--weight length]
@@ -27,7 +27,7 @@ Usage (also available as ``python -m repro``)::
     segroute bench [--quick] [--check] [--repeats N] [-o BENCH_kernels.json]
     segroute serve [--port P] [--http-port P] [--max-batch B]
                    [--max-wait-ms MS] [--max-queue Q] [--rate R]
-                   [--jobs N] [--timeout S] [--trace TRACE.jsonl]
+                   [--timeout S] [--trace TRACE.jsonl]
                    [--replicas N] [--hedge-ms MS] [--inject-faults SPEC]
                    [--port-file FILE] [--jobs-dir DIR]
                    [--max-active-jobs N] [--job-deadline S]
@@ -397,8 +397,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report path (default: BENCH_kernels.json)",
     )
 
+    # No prefix matching: `serve --jobs N` would otherwise be read as
+    # `--jobs-dir N` and start a server.
     p_serve = sub.add_parser(
-        "serve", help="serve the engine over newline-delimited JSON"
+        "serve", help="serve the engine over newline-delimited JSON",
+        allow_abbrev=False,
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -408,10 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--http-port", type=int, default=7456,
         help="admin port: /healthz /readyz /metrics (default: 7456)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="engine workers per micro-batch (default: 1)",
     )
     p_serve.add_argument(
         "--timeout", type=float, default=None,
@@ -1057,7 +1056,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.replicas,
             host=args.host,
             seed=args.seed,
-            jobs=args.jobs,
             timeout=args.timeout,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
@@ -1092,7 +1090,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = RoutingServer(ServeConfig(
         host=args.host, port=args.port, http_port=args.http_port,
-        jobs=args.jobs, timeout=args.timeout, max_batch=args.max_batch,
+        timeout=args.timeout, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
         rate=args.rate, burst=args.burst, drain_grace=args.drain_grace,
         seed=args.seed, port_file=args.port_file,

@@ -41,7 +41,8 @@ class EngineConfig:
     jobs:
         Worker processes for :meth:`~repro.engine.RoutingEngine.route_many`.
         ``1`` routes sequentially in-process (no pool, no pickling);
-        ``0`` means :func:`default_jobs`.
+        more builds one supervised pool per call, torn down before the
+        call returns; ``0`` means :func:`default_jobs`.
     timeout:
         Per-request deadline in seconds, or ``None`` for no deadline.
         With a deadline, each algorithm attempt gets a share of the
@@ -68,10 +69,6 @@ class EngineConfig:
         Base seed for worker-process PRNG streams; per-task substreams
         are derived via :func:`repro.substrate.prng.derive_seed` so
         results are bit-identical regardless of ``jobs`` or scheduling.
-    validate:
-        Re-validate every routing in the parent process before handing
-        it back (cheap; on by default — the engine's contract is that
-        every result passed a :meth:`Routing.validate` call).
     retry:
         :class:`~repro.engine.resilience.RetryPolicy` governing retry
         with backoff for transient failures (worker crashes, corrupt
@@ -86,15 +83,6 @@ class EngineConfig:
         Optional :class:`~repro.engine.resilience.FaultPlan` injecting
         deterministic worker crashes/hangs/corruption — the chaos-test
         hook, never set in production.
-    keep_pool:
-        Keep one :class:`~repro.engine.resilience.SupervisedExecutor`
-        (and its worker pool) alive across ``route_many`` calls instead
-        of building and tearing one down per batch.  This is the serving
-        mode — :mod:`repro.serve` feeds the engine a stream of
-        micro-batches and cannot afford pool start-up per window — and
-        it obliges the owner to call :meth:`RoutingEngine.close` (or use
-        the engine as a context manager) so the workers are released
-        deterministically.
     """
 
     jobs: int = 1
@@ -104,11 +92,9 @@ class EngineConfig:
     cache_size: int = 4096
     cache_dir: Optional[str] = None
     seed: int = 0
-    validate: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
-    keep_pool: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 0:

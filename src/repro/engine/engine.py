@@ -133,8 +133,6 @@ class RoutingEngine:
         self._trace_lock = threading.Lock()
         self._batch_seq = 0
         self._closed = False
-        self._supervisor: Optional[SupervisedExecutor] = None
-        self._supervisor_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -146,20 +144,13 @@ class RoutingEngine:
     def close(self) -> None:
         """Release every resource the engine holds (idempotent).
 
-        Tears down the persistent supervisor/worker pool kept by
-        ``keep_pool`` engines and marks the engine closed; subsequent
-        routing calls raise :class:`~repro.core.errors.EngineError`.
-        Ephemeral pools (the default mode) are torn down by each
-        ``route_many`` call already, so for them ``close`` only fences
-        off further use.  A long-lived process (the :mod:`repro.serve`
-        server, a notebook) should close engines deterministically
-        rather than leaking pools until interpreter exit.
+        Marks the engine closed, so subsequent routing calls raise
+        :class:`~repro.core.errors.EngineError`, and closes the
+        persistent cache tier's file.  Worker pools never outlive the
+        ``route_many`` call that built them, so there is none to tear
+        down here.
         """
         self._closed = True
-        with self._supervisor_lock:
-            supervisor, self._supervisor = self._supervisor, None
-        if supervisor is not None:
-            supervisor.close()
         if self.cache_store is not None:
             self.cache_store.close()
 
@@ -471,18 +462,16 @@ class RoutingEngine:
     def _execute(
         self, tasks: list[RouteTask], jobs: int
     ) -> Iterator[TaskOutcome]:
-        """Run tasks under the resilience layer, yielding as they finish."""
+        """Run tasks under the resilience layer, yielding as they finish:
+        in process, or on a supervised pool that lives for this call."""
         if not tasks:
             return
         config = self.config
-        if jobs == 1 or (len(tasks) == 1 and not config.keep_pool):
+        if jobs == 1 or len(tasks) == 1:
             yield from run_sequential(
                 tasks, seed=config.seed, policy=config.retry,
                 fault_plan=config.fault_plan, metrics=self.metrics,
             )
-            return
-        if config.keep_pool:
-            yield from self._run_persistent(tasks, jobs)
             return
         supervisor = SupervisedExecutor(
             min(jobs, len(tasks)), seed=config.seed, policy=config.retry,
@@ -490,28 +479,6 @@ class RoutingEngine:
             metrics=self.metrics,
         )
         yield from supervisor.run(tasks)
-
-    def _run_persistent(
-        self, tasks: list[RouteTask], jobs: int
-    ) -> Iterator[TaskOutcome]:
-        """Run tasks on the engine-owned persistent supervisor.
-
-        The supervisor (and its worker pool) survives across calls; the
-        lock both protects lazy creation and serializes batches — the
-        supervisor's scheduling loop is single-batch by design, and the
-        serving layer already funnels all traffic through one dispatch
-        thread.  :meth:`close` tears the pool down.
-        """
-        config = self.config
-        with self._supervisor_lock:
-            self._ensure_open()
-            if self._supervisor is None:
-                self._supervisor = SupervisedExecutor(
-                    jobs, seed=config.seed, policy=config.retry,
-                    fault_plan=config.fault_plan, watchdog=config.watchdog,
-                    metrics=self.metrics, persistent=True,
-                )
-            yield from self._supervisor.run(tasks)
 
     # ------------------------------------------------------------------
     # checkpoint plumbing
@@ -588,9 +555,9 @@ class RoutingEngine:
     ) -> None:
         """Append one completed result to the journal (if any).
 
-        The routing is independently re-validated first — nothing that
-        cannot pass :meth:`Routing.validate` is ever journaled — and
-        under a fault plan with ``kill_after_checkpoints`` the process
+        Every routing here was already validated: by the resilience
+        layer or, for cache replays and duplicates, :meth:`_finish_hit`.
+        Under a fault plan with ``kill_after_checkpoints`` the process
         SIGKILLs itself once the quota is reached (the deterministic
         "interrupted batch" used by the chaos suite).
         """
@@ -599,14 +566,6 @@ class RoutingEngine:
         rkey = record_key(result.index, repr(key))
         if journal.has(rkey):
             return
-        if result.ok:
-            try:
-                result.routing.validate(result.max_segments)
-            except ValidationError as exc:  # pragma: no cover - defensive
-                result.routing = None
-                result.algorithm = None
-                result.error_type = type(exc).__name__
-                result.error = str(exc)
         if collector is not None:
             with collector.span("journal.write", parent_id=root.span_id):
                 journal.append(rkey, self._result_payload(result))
@@ -724,7 +683,8 @@ class RoutingEngine:
             replay_span.finish()
 
     def _absorb(self, result: BatchResult, outcome: TaskOutcome, key) -> None:
-        """Fold a task outcome into a batch result + metrics + cache."""
+        """Fold a task outcome into a batch result + metrics + cache.
+        An ok outcome was already validated by the resilience layer."""
         result.duration = outcome.duration
         result.fallbacks = outcome.fallbacks
         result.timed_out = outcome.timed_out
@@ -739,16 +699,9 @@ class RoutingEngine:
             result.error = outcome.error
             self.metrics.incr("errors")
             return
-        routing = Routing(result.channel, result.connections, outcome.assignment)
-        if self.config.validate:
-            try:
-                routing.validate(result.max_segments)
-            except ValidationError as exc:
-                result.error_type = type(exc).__name__
-                result.error = str(exc)
-                self.metrics.incr("errors")
-                return
-        result.routing = routing
+        result.routing = Routing(
+            result.channel, result.connections, outcome.assignment
+        )
         result.algorithm = outcome.algorithm
         self.metrics.observe(f"latency.{outcome.algorithm}", outcome.duration)
         if self.config.cache:

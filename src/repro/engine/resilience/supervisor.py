@@ -27,7 +27,8 @@ This module is the fault-tolerant replacement for the engine's plain
 
 Every successful outcome is re-validated here, *before* the engine sees
 it — a worker returning garbage (fault injection, memory corruption) is
-indistinguishable from a transient failure and is retried.  Because
+indistinguishable from a transient failure and is retried, and the
+engine installs what passes without checking it again.  Because
 ``run_task`` re-seeds from ``derive_seed(seed, task_key)`` on every
 attempt, a retried task reproduces the original result bit-for-bit, so
 batches complete identically with or without faults.
@@ -125,6 +126,7 @@ class _TaskState:
     failures: int = 0   # retryable error outcomes so far
     crashes: int = 0    # worker crashes / watchdog kills so far
     began: bool = False  # current submission reached a worker
+    pool: Optional[ProcessPoolExecutor] = None  # current submission's pool
     spans: list = field(default_factory=list)  # spans from superseded attempts
 
 
@@ -263,14 +265,11 @@ class SupervisedExecutor:
 
     Owns the worker pool, the heartbeat queue, and the per-task ledgers;
     ``run`` yields :class:`TaskOutcome` objects as tasks finalize
-    (out of input order — callers index by ``outcome.index``).
-
-    By default the pool is torn down when ``run`` finishes, so a batch
-    leaves no worker processes behind.  With ``persistent=True`` the
-    pool survives across ``run`` calls — the mode a long-lived server
-    uses to avoid paying pool start-up per micro-batch — and the owner
-    must call :meth:`close` (or use the executor as a context manager)
-    to release the workers deterministically.
+    (out of input order — callers index by ``outcome.index``).  The
+    pool is torn down when ``run`` finishes, so a batch leaves no worker
+    processes behind.  Not for callers running an event loop: a forked
+    worker keeps the loop's SIGTERM handler, so teardown would run the
+    caller's handler (a server's drain) instead of stopping the worker.
     """
 
     def __init__(
@@ -282,7 +281,6 @@ class SupervisedExecutor:
         fault_plan: Optional[FaultPlan] = None,
         watchdog: Optional[float] = None,
         metrics: Optional[Metrics] = None,
-        persistent: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -292,20 +290,9 @@ class SupervisedExecutor:
         self.fault_plan = fault_plan
         self.watchdog = watchdog
         self.metrics = metrics
-        self.persistent = persistent
         self._ctx = _mp_context()
-        self._heartbeats = self._ctx.SimpleQueue()
+        self._heartbeats = None  # the current pool's; see _ensure_pool
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    def close(self) -> None:
-        """Tear down the worker pool now (idempotent; kills hung workers)."""
-        self._teardown_pool()
-
-    def __enter__(self) -> "SupervisedExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def _incr(self, name: str, amount: int = 1) -> None:
@@ -314,6 +301,9 @@ class SupervisedExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Per pool: a worker killed mid-put leaves the queue's write
+            # lock held, blocking every later worker's heartbeat.
+            self._heartbeats = self._ctx.SimpleQueue()
             spec = self.fault_plan.as_spec() if self.fault_plan else None
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -369,7 +359,8 @@ class SupervisedExecutor:
                     state.tries += 1
                     state.began = False
                     try:
-                        future = self._ensure_pool().submit(
+                        state.pool = self._ensure_pool()
+                        future = state.pool.submit(
                             run_supervised_task, (state.task, state.tries)
                         )
                     except BrokenExecutor:
@@ -403,8 +394,7 @@ class SupervisedExecutor:
                         yield outcome
                 self._check_watchdog(states, started)
         finally:
-            if not self.persistent:
-                self._teardown_pool()
+            self._teardown_pool()
 
     # ------------------------------------------------------------------
     def _drain_heartbeats(
@@ -467,7 +457,10 @@ class SupervisedExecutor:
         try:
             outcome = future.result()
         except BrokenExecutor:
-            if self._pool is not None:
+            # Never tear down a healthy successor for a late failure of
+            # a replaced pool: its cancelled queued futures never count
+            # as done in ``wait``, so the run would hang.
+            if state.pool is self._pool:
                 self._teardown_pool()
                 self._incr("pool_rebuilds")
             if not state.began:

@@ -9,12 +9,13 @@ the long-running-work half of the serving tier:
   typed :class:`~repro.core.errors.AdmissionRejected` (the job-class
   admission gate: chip jobs never enter the single-channel latency
   queue, so they cannot starve it);
-* **its own engine** — jobs solve on a dedicated
+* **its own engine** — jobs solve in process on a dedicated
   :class:`~repro.engine.RoutingEngine` (``timeout=None``) so results
   are digest-identical to the offline serial path, while sharing the
   persistent ``cache_dir`` tier with the latency engine;
 * **per-job deadline** — enforced at round granularity through the
-  pipeline's abort hook (a deadline abort is final and persisted);
+  pipeline's abort hook (a deadline abort is final and persisted); the
+  manager branches on each abort's ``kind``, never on its message;
 * **durability** — with ``jobs_dir``, each job persists its spec at
   submit and its outcome at completion, and the pipeline journals every
   round.  A manager restarted over the same directory re-queues
@@ -62,7 +63,7 @@ __all__ = [
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
-_SHUTDOWN_REASON = "server shutting down"
+_CANCEL_REASON = "cancelled by client"
 
 
 class JobError(ReproError):
@@ -166,13 +167,11 @@ class JobManager:
         round/engine journals (while running), ``done.json`` (at
         completion).  A new manager over the same directory reloads
         completed jobs and re-queues + resumes unfinished ones.
-    engine:
-        Use this engine instead of building one (the caller keeps
-        ownership).  Without it, the manager builds its own from
-        ``engine_config`` (default: ``jobs=engine_jobs``, no timeout,
-        shared ``cache_dir``) and closes it on :meth:`close`.
+    cache_dir / seed / fault_plan / trace_sink:
+        Settings of the manager's own in-process engine (no timeout),
+        which it builds here and closes on :meth:`close`.
     default_deadline_s:
-        Deadline applied when a submission carries none.
+        Deadline applied when a submission carries none (positive).
     """
 
     def __init__(
@@ -181,9 +180,6 @@ class JobManager:
         max_active: int = 2,
         max_queued: int = 16,
         jobs_dir: Optional[str] = None,
-        engine: Optional[RoutingEngine] = None,
-        engine_config: Optional[EngineConfig] = None,
-        engine_jobs: int = 1,
         cache_dir: Optional[str] = None,
         seed: int = 0,
         fault_plan=None,
@@ -195,23 +191,19 @@ class JobManager:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
         if max_queued < 0:
             raise ValueError(f"max_queued must be >= 0, got {max_queued}")
+        if default_deadline_s is not None and default_deadline_s <= 0:
+            raise ValueError(
+                f"default_deadline_s must be positive, got {default_deadline_s}"
+            )
         self.max_active = max_active
         self.max_queued = max_queued
         self.jobs_dir = jobs_dir
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else Metrics()
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = RoutingEngine(
-                engine_config or EngineConfig(
-                    jobs=engine_jobs,
-                    seed=seed,
-                    cache_dir=cache_dir,
-                    fault_plan=fault_plan,
-                ),
-                trace_sink=trace_sink,
-            )
-        self.engine = engine
+        self.engine = RoutingEngine(
+            EngineConfig(seed=seed, cache_dir=cache_dir, fault_plan=fault_plan),
+            trace_sink=trace_sink,
+        )
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._jobs: dict[str, JobRecord] = {}
@@ -311,7 +303,7 @@ class JobManager:
                 except ValueError:  # pragma: no cover - already claimed
                     pass
                 else:
-                    self._finish_aborted(record, "cancelled by client")
+                    self._finish_aborted(record, PipelineAbort(_CANCEL_REASON))
         return record.status_payload()
 
     def results(
@@ -374,10 +366,9 @@ class JobManager:
         with self._lock:
             snapshot["counters"]["jobs.active"] = len(self._running)
             snapshot["counters"]["jobs.queued"] = len(self._pending)
-        if self._owns_engine:
-            engine_snapshot = self.engine.metrics.snapshot()
-            for name, value in engine_snapshot.get("counters", {}).items():
-                snapshot["counters"][f"jobs.engine.{name}"] = value
+        engine_snapshot = self.engine.metrics.snapshot()
+        for name, value in engine_snapshot.get("counters", {}).items():
+            snapshot["counters"][f"jobs.engine.{name}"] = value
         return snapshot
 
     def close(self, *, timeout: float = 10.0) -> None:
@@ -390,8 +381,7 @@ class JobManager:
             self._wake.notify_all()
         for worker in self._workers:
             worker.join(timeout=timeout / max(1, len(self._workers)))
-        if self._owns_engine:
-            self.engine.close()
+        self.engine.close()
 
     # ------------------------------------------------------------------
     # internals
@@ -505,17 +495,21 @@ class JobManager:
                 with self._lock:
                     self._running.discard(job_id)
 
-    def _abort_reason(self, record: JobRecord) -> Optional[str]:
+    def _abort_reason(self, record: JobRecord) -> Optional[PipelineAbort]:
+        """The typed abort that stops ``record``'s run now, or ``None``
+        (the pipeline polls this before every round)."""
         if record.cancel_event.is_set():
-            return "cancelled by client"
+            return PipelineAbort(_CANCEL_REASON)
         if self._closed:
-            return _SHUTDOWN_REASON
+            return PipelineAbort("server shutting down", "shutdown")
         if (
             record.deadline_s is not None
             and record.started_monotonic is not None
             and time.monotonic() - record.started_monotonic > record.deadline_s
         ):
-            return f"deadline exceeded ({record.deadline_s}s)"
+            return PipelineAbort(
+                f"deadline exceeded ({record.deadline_s}s)", "deadline"
+            )
         return None
 
     def _run_job(self, record: JobRecord) -> None:
@@ -534,13 +528,13 @@ class JobManager:
                 check_abort=lambda: self._abort_reason(record),
             )
         except PipelineAbort as exc:
-            if exc.reason == _SHUTDOWN_REASON:
+            if exc.kind == "shutdown":
                 # Not an outcome: leave no done.json so a restart over
                 # the same jobs_dir re-queues and resumes this job.
                 record.state = "queued"
                 self.metrics.incr("jobs.interrupted")
                 return
-            self._finish_aborted(record, exc.reason)
+            self._finish_aborted(record, exc)
             return
         except Exception as exc:  # any other raise fails this job only
             record.finished_monotonic = time.monotonic()
@@ -565,14 +559,14 @@ class JobManager:
         self.metrics.observe("jobs.rounds_per_job", len(result.rounds))
         self._persist_done(record)
 
-    def _finish_aborted(self, record: JobRecord, reason: str) -> None:
+    def _finish_aborted(self, record: JobRecord, abort: PipelineAbort) -> None:
         record.finished_monotonic = time.monotonic()
         record.state = "cancelled"
         record.error_type = "PipelineAbort"
-        record.error = reason
+        record.error = abort.reason
         record.duration_s = self._elapsed(record)
         self.metrics.incr(
-            "jobs.deadline_aborts" if reason.startswith("deadline")
+            "jobs.deadline_aborts" if abort.kind == "deadline"
             else "jobs.cancelled"
         )
         self._persist_done(record)

@@ -86,12 +86,14 @@ def _is_int(value: object) -> bool:
 
 
 class PipelineAbort(ReproError):
-    """A pipeline run was stopped between rounds (cancel, deadline,
-    shutdown).  ``reason`` is the abort cause reported to the client."""
+    """A pipeline run was stopped between rounds.  ``reason`` is the
+    abort cause reported to the client; ``kind`` — ``"cancelled"``,
+    ``"deadline"`` or ``"shutdown"`` — is what callers branch on."""
 
-    def __init__(self, reason: str) -> None:
+    def __init__(self, reason: str, kind: str = "cancelled") -> None:
         super().__init__(reason)
         self.reason = reason
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -289,16 +291,16 @@ def run_chip_pipeline(
     state_dir: Optional[str] = None,
     job_id: str = "",
     on_round: Optional[Callable[[RoundReport], None]] = None,
-    check_abort: Optional[Callable[[], Optional[str]]] = None,
+    check_abort: Optional[Callable[[], Optional[PipelineAbort]]] = None,
 ) -> PipelineResult:
     """Run the full pipeline for one spec; see the module docstring.
 
     ``state_dir`` (requires ``engine``) enables journal checkpointing:
     per-round engine journals plus a round-state journal, giving
     bit-identical resume after a crash.  ``check_abort`` is polled
-    before every round; a non-``None`` reason raises
-    :class:`PipelineAbort` (journals stay on disk, so an aborted job can
-    still be resumed later).  ``on_round`` observes each
+    before every round; the :class:`PipelineAbort` it returns, if any,
+    is raised (journals stay on disk, so an aborted job can still be
+    resumed later).  ``on_round`` observes each
     :class:`RoundReport` as it completes — the job manager uses it to
     publish live status.
     """
@@ -334,9 +336,9 @@ def run_chip_pipeline(
     def abort_check() -> None:
         if check_abort is None:
             return
-        reason = check_abort()
-        if reason:
-            raise PipelineAbort(reason)
+        abort = check_abort()
+        if abort is not None:
+            raise abort
 
     def solve_round(round_index: int, demands, moved: int) -> ChipRouting:
         nonlocal resumed_total

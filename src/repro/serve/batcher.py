@@ -1,21 +1,23 @@
 """Micro-batching: coalesce concurrent requests into ``route_many`` windows.
 
-The engine's batch API amortizes canonical-key computation, cache
-bookkeeping, and (with ``keep_pool``) worker-pool scheduling across a
-whole batch; feeding it singletons throws that away.  The
-:class:`MicroBatcher` sits between the asyncio request handlers and the
-engine: admitted requests land on an internal queue, and a single
-dispatcher task closes a *window* when either ``max_batch`` requests
-have accumulated or ``max_wait`` seconds have passed since the window
-opened — the classic latency/throughput knob pair.
+The engine's batch API amortizes canonical-key computation and cache
+bookkeeping across a whole batch; feeding it singletons throws that
+away.  The :class:`MicroBatcher` sits between the asyncio request
+handlers and the engine: admitted requests land on an internal queue,
+and a single dispatcher task closes a *window* when either
+``max_batch`` requests have accumulated or ``max_wait`` seconds have
+passed since the window opened — the classic latency/throughput knob
+pair.
 
 Each window is partitioned by ``(weight, algorithm)`` (the two
 parameters ``route_many`` fixes per call; ``max_segments`` rides along
-per instance) and dispatched on a dedicated single worker thread, so
-the event loop never blocks on routing and windows are processed in
-order.  Requests whose deadline expired while queued are failed with a
-``shed``-typed :class:`~repro.core.errors.AdmissionRejected` *before*
-the engine sees them — a doomed request costs the solver nothing.
+per instance) and routed in process (``jobs=1``) on a dedicated single
+worker thread, so the event loop never blocks on routing and windows
+are processed in order.  A server never forks solver workers; more
+cores are served by more replicas.  Requests whose deadline expired
+while queued are failed with a ``shed``-typed
+:class:`~repro.core.errors.AdmissionRejected` *before* the engine sees
+them — a doomed request costs the solver nothing.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class MicroBatcher:
         latest this long after its first request arrived.  ``0`` makes
         the batcher a pass-through (batches form only from genuinely
         concurrent arrivals).
-    jobs / timeout:
+    timeout:
         Passed through to :meth:`RoutingEngine.route_many`.
     metrics:
         Optional serve-side :class:`~repro.engine.metrics.Metrics`
@@ -87,7 +89,6 @@ class MicroBatcher:
         *,
         max_batch: int = 16,
         max_wait: float = 0.005,
-        jobs: int = 1,
         timeout: Optional[float] = None,
         metrics: Optional[Metrics] = None,
         service_observer=None,
@@ -99,7 +100,6 @@ class MicroBatcher:
         self.engine = engine
         self.max_batch = max_batch
         self.max_wait = max_wait
-        self.jobs = jobs
         self.timeout = timeout
         self.metrics = metrics
         self.service_observer = service_observer
@@ -237,7 +237,7 @@ class MicroBatcher:
             max_segments=[r.max_segments for r in requests],
             weight=requests[0].weight,
             algorithm=requests[0].algorithm,
-            jobs=self.jobs,
+            jobs=1,
             timeout=self.timeout,
             trace_parents=[p.trace_parent for p in group],
         )

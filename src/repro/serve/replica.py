@@ -138,9 +138,10 @@ class ReplicaSet:
         Engine seed shared by *all* replicas — routing is deterministic
         per seed, so any replica answers any request identically, which
         is what makes failover digest-transparent.
-    jobs / timeout / max_batch / max_wait_ms / max_queue / rate / burst:
+    timeout / max_batch / max_wait_ms / max_queue / rate / burst:
         Per-replica :class:`~repro.serve.server.ServeConfig` knobs,
-        forwarded on each child's command line.
+        forwarded on each child's command line.  Each replica routes in
+        process, so ``n_replicas`` is the number of cores the set uses.
     cache_dir:
         Shared persistent-cache directory forwarded to every replica as
         ``--cache-dir``.  All replicas point at the *same* directory, so
@@ -174,7 +175,6 @@ class ReplicaSet:
         *,
         host: str = "127.0.0.1",
         seed: int = 0,
-        jobs: int = 1,
         timeout: Optional[float] = None,
         max_batch: int = 16,
         max_wait_ms: float = 5.0,
@@ -197,7 +197,6 @@ class ReplicaSet:
         self.n_replicas = n_replicas
         self.host = host
         self.seed = seed
-        self.jobs = jobs
         self.timeout = timeout
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
@@ -330,7 +329,6 @@ class ReplicaSet:
             "--host", self.host, "--port", "0", "--http-port", "0",
             "--port-file", replica.port_file,
             "--seed", str(self.seed),
-            "--jobs", str(self.jobs),
             "--max-batch", str(self.max_batch),
             "--max-wait-ms", str(self.max_wait_ms),
             "--max-queue", str(self.max_queue),

@@ -23,14 +23,16 @@ One :class:`RoutingServer` owns one :class:`~repro.engine.RoutingEngine`
 (or wraps a caller-provided one), an
 :class:`~repro.serve.admission.AdmissionController`, a
 :class:`~repro.serve.batcher.MicroBatcher`, and the chip-job
-:class:`~repro.jobs.manager.JobManager`.
+:class:`~repro.jobs.manager.JobManager`.  It routes every request and
+every chip-job round in process and forks no solver workers; a host's
+other cores are served by ``segroute serve --replicas N`` (see
+``docs/SERVING.md``).
 
 Graceful drain (SIGTERM/SIGINT or :meth:`ProtocolFront.request_drain`):
 stop accepting, flip ``/readyz`` to 503, let every admitted request
 finish (bounded by ``drain_grace``), release the subclass's resources
 (the server flushes the batcher and closes the job manager and the
-engine, so worker pools never leak past the server's lifetime), then
-close client connections and the admin listener.
+engine), then close client connections and the admin listener.
 
 With a trace sink, every routed request emits a ``serve.request`` span;
 when the client supplied trace context the span joins the *client's*
@@ -107,10 +109,6 @@ class ServeConfig:
         start — how the tests run hermetically).
     http_port:
         Admin/metrics listener (same host); ``0`` for ephemeral.
-    jobs:
-        Engine workers per micro-batch; ``1`` (the default, and the
-        only sensible value on a 1-CPU host) routes in the dispatch
-        thread with no pool.
     timeout:
         Per-request engine deadline (seconds) applied to every batch.
     max_batch / max_wait_ms:
@@ -157,7 +155,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 7455
     http_port: int = 7456
-    jobs: int = 1
     timeout: Optional[float] = None
     max_batch: int = 16
     max_wait_ms: float = 5.0
@@ -177,8 +174,6 @@ class ServeConfig:
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.max_wait_ms < 0:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
@@ -538,9 +533,7 @@ class RoutingServer(ProtocolFront):
         self._owns_engine = engine is None
         self.engine = engine or RoutingEngine(
             EngineConfig(
-                jobs=self.config.jobs,
                 seed=self.config.seed,
-                keep_pool=self.config.jobs > 1,
                 cache_dir=self.config.cache_dir,
                 fault_plan=self.config.fault_plan,
             ),
@@ -559,7 +552,6 @@ class RoutingServer(ProtocolFront):
             max_active=self.config.max_active_jobs,
             max_queued=self.config.max_queued_jobs,
             jobs_dir=self.config.jobs_dir,
-            engine_jobs=self.config.jobs,
             cache_dir=self.config.cache_dir,
             seed=self.config.seed,
             fault_plan=self.config.fault_plan,
@@ -577,7 +569,6 @@ class RoutingServer(ProtocolFront):
             self.engine,
             max_batch=self.config.max_batch,
             max_wait=self.config.max_wait_ms / 1000.0,
-            jobs=self.config.jobs,
             timeout=self.config.timeout,
             metrics=self.metrics,
             service_observer=self.admission.observe_service,

@@ -1,9 +1,10 @@
-"""Engine lifecycle: close(), context management, persistent pools.
+"""Engine lifecycle: close() and context management.
 
 The serving layer keeps one engine alive for the process lifetime, so
-the engine grew an explicit teardown contract: ``close()`` fences new
-work and releases the ``keep_pool`` supervisor; the module-level default
-engine gets the same treatment via an ``atexit`` hook.
+the engine has an explicit teardown contract: ``close()`` fences new
+work and closes the persistent cache tier; the module-level default
+engine gets the same treatment via an ``atexit`` hook.  Worker pools
+never outlive the ``route_many`` call that built them.
 """
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 import repro.engine.engine as engine_mod
 from repro.core.errors import EngineError
 from repro.engine import (
-    EngineConfig,
     RoutingEngine,
     close_default_engine,
     default_engine,
@@ -61,48 +61,6 @@ def test_context_manager_closes_on_error():
         with engine:
             raise RuntimeError("boom")
     assert engine.closed
-
-
-def test_keep_pool_reuses_one_supervisor(corpus):
-    instances, ks = _instances(corpus)
-    engine = RoutingEngine(EngineConfig(jobs=2, keep_pool=True, seed=41))
-    try:
-        assert all(
-            r.ok for r in engine.route_many(instances, max_segments=ks)
-        )
-        first = engine._supervisor
-        assert first is not None
-        engine.clear_cache()  # force real re-routing on the same pool
-        assert all(
-            r.ok for r in engine.route_many(instances, max_segments=ks)
-        )
-        assert engine._supervisor is first  # pool survived across calls
-    finally:
-        engine.close()
-    assert engine._supervisor is None
-
-
-def test_keep_pool_results_match_ephemeral_pool(corpus):
-    from repro.io.results import result_stream_digest
-
-    instances, ks = _instances(corpus)
-    with RoutingEngine(EngineConfig(jobs=2, keep_pool=True, seed=41)) as kept:
-        kept_results = kept.route_many(instances, max_segments=ks)
-    with RoutingEngine(EngineConfig(jobs=2, seed=41)) as ephemeral:
-        eph_results = ephemeral.route_many(instances, max_segments=ks)
-    assert (
-        result_stream_digest(kept_results)
-        == result_stream_digest(eph_results)
-    )
-
-
-def test_close_without_keep_pool_is_cheap(corpus):
-    # jobs=1 engines never own a pool; close() must still work.
-    instances, ks = _instances(corpus)
-    engine = RoutingEngine()
-    engine.route_many(instances, max_segments=ks)
-    assert engine._supervisor is None
-    engine.close()
 
 
 def test_default_engine_close_and_recreate(corpus):

@@ -392,6 +392,66 @@ class TestSupervisedPool:
         assert engine.metrics.counter("worker_crashes") > 0
         assert engine.metrics.counter("pool_rebuilds") > 0
 
+    def test_late_failure_from_a_replaced_pool_keeps_the_current_pool(self):
+        """Tearing down the current pool would cancel its queued futures,
+        which ``wait`` never reports as done: the batch would hang."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine.executor import RouteTask
+        from repro.engine.resilience.supervisor import (
+            SupervisedExecutor,
+            _TaskState,
+        )
+
+        channel, conns = small_corpus(1)[0]
+        executor = SupervisedExecutor(1, policy=FAST_RETRY)
+        replaced = executor._ensure_pool()
+        executor._teardown_pool()
+        current = executor._ensure_pool()
+        try:
+            state = _TaskState(
+                task=RouteTask(index=0, channel=channel, connections=conns),
+                tries=1, pool=replaced,
+            )
+            late = Future()
+            late.set_exception(BrokenProcessPool("replaced pool died"))
+            ready: list[int] = []
+            assert executor._collect(late, state, ready, []) is None
+            assert executor._pool is current
+            assert ready == [0]  # never began: re-queued, no crash charged
+            assert state.crashes == 0
+        finally:
+            executor._teardown_pool()
+
+    def test_a_leaked_heartbeat_lock_dies_with_its_pool(self):
+        """A worker killed in the middle of a heartbeat put leaves the
+        queue's write lock held; the next pool's workers must not block
+        on it."""
+        import threading
+
+        from repro.engine.executor import RouteTask
+        from repro.engine.resilience.supervisor import SupervisedExecutor
+
+        tasks = [
+            RouteTask(index=i, channel=channel, connections=conns,
+                      max_segments=2)
+            for i, (channel, conns) in enumerate(small_corpus(2))
+        ]
+        executor = SupervisedExecutor(2, policy=FAST_RETRY)
+        executor._ensure_pool()
+        executor._heartbeats._wlock.acquire()  # its holder was killed
+        executor._teardown_pool()
+        outcomes = []
+        runner = threading.Thread(
+            target=lambda: outcomes.extend(executor.run(tasks)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "workers blocked on a dead pool's lock"
+        assert sorted(o.index for o in outcomes) == [0, 1]
+        assert all(o.ok for o in outcomes)
+
 
 # ----------------------------------------------------------------------
 # manifest errors (CLI satellite)

@@ -144,6 +144,9 @@ class TestLifecycle:
         manager.cancel("slow")
         status = _wait(manager, "slow")
         assert status["state"] == "cancelled"
+        assert status["error"] == "cancelled by client"
+        assert manager.metrics.counter("jobs.cancelled") == 1
+        assert manager.metrics.counter("jobs.deadline_aborts") == 0
         with pytest.raises(JobError):
             manager.results("slow")
 
@@ -158,6 +161,14 @@ class TestLifecycle:
         status = _wait(manager, "late")
         assert status["state"] == "cancelled"
         assert "deadline" in (status.get("error") or "")
+        assert manager.metrics.counter("jobs.deadline_aborts") == 1
+        assert manager.metrics.counter("jobs.cancelled") == 0
+
+    @pytest.mark.parametrize("deadline", [0, -1.0])
+    def test_non_positive_default_deadline_is_rejected(self, deadline):
+        # Refused at construction, not by shedding every later submit.
+        with pytest.raises(ValueError, match="default_deadline_s"):
+            JobManager(default_deadline_s=deadline)
 
     def test_raising_job_fails_without_killing_its_worker(
         self, manager, monkeypatch

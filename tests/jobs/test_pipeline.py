@@ -155,11 +155,14 @@ class TestRunChipPipeline:
 
         def check_abort():
             calls.append(True)
-            return "test abort" if len(calls) > 1 else None
+            if len(calls) > 1:
+                return PipelineAbort("test abort", "deadline")
+            return None
 
         with pytest.raises(PipelineAbort) as excinfo:
             run_chip_pipeline(_spec(), check_abort=check_abort)
         assert excinfo.value.reason == "test abort"
+        assert excinfo.value.kind == "deadline"
 
     def test_on_round_reports(self):
         reports = []

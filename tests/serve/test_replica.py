@@ -138,7 +138,7 @@ def test_replica_victim_is_seeded_and_in_range():
 
 def test_argv_forwards_every_serve_knob():
     replica_set = ReplicaSet(
-        1, seed=9, jobs=2, timeout=1.5, max_batch=8, max_wait_ms=3.0,
+        1, seed=9, timeout=1.5, max_batch=8, max_wait_ms=3.0,
         max_queue=32, rate=100.0, burst=10.0, drain_grace=1.0,
     )
     replica = replica_set._replicas[0]
@@ -148,7 +148,8 @@ def test_argv_forwards_every_serve_knob():
     assert "-m repro serve" in text
     assert "--port 0" in text and "--http-port 0" in text
     assert "--port-file /tmp/pf.json" in text
-    assert "--seed 9" in text and "--jobs 2" in text
+    assert "--seed 9" in text
+    assert "--jobs" not in argv  # replicas route in process
     assert "--timeout 1.5" in text and "--rate 100.0" in text
     assert "--max-batch 8" in text and "--max-queue 32" in text
 

@@ -315,7 +315,6 @@ def test_external_engine_is_not_closed_by_drain():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"jobs": 0},
     {"max_wait_ms": -1.0},
     {"drain_grace": -1.0},
 ])

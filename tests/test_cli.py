@@ -405,3 +405,13 @@ class TestBench:
             "-o", str(tmp_path / "b.json"),
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestServe:
+    def test_serve_has_no_jobs_flag(self, capsys):
+        # Servers route in process; `--jobs` must not be read as a
+        # prefix of `--jobs-dir` either.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
