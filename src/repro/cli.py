@@ -28,7 +28,7 @@ Usage (also available as ``python -m repro``)::
     segroute serve [--port P] [--http-port P] [--max-batch B]
                    [--max-wait-ms MS] [--max-queue Q] [--rate R]
                    [--timeout S] [--trace TRACE.jsonl]
-                   [--replicas N] [--hedge-ms MS] [--inject-faults SPEC]
+                   [--replicas N] [--inject-faults SPEC]
                    [--port-file FILE] [--jobs-dir DIR]
                    [--max-active-jobs N] [--job-deadline S]
     segroute loadgen [INSTANCE ...] [--manifest FILE.jsonl]
@@ -44,7 +44,7 @@ emits a Theorem-1/2 NP-completeness instance from a numerical matching
 problem, ``bench`` runs the DP kernel against its reference oracle
 (the perf-regression harness; see docs/PERFORMANCE.md), ``serve``
 exposes the engine over the network — ``--replicas N`` runs N
-supervised engine replicas behind a failover/hedging router (see
+supervised engine replicas behind a failover router (see
 docs/SERVING.md) — and ``loadgen`` drives open-/closed-loop traffic at
 a running server or router.
 """
@@ -455,11 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replicated mode: supervise N engine replica processes "
              "behind a failover router on --port (default: 0, single "
              "server)",
-    )
-    p_serve.add_argument(
-        "--hedge-ms", type=float, default=None, metavar="MS",
-        help="replicated mode: hedge straggler requests against a "
-             "second replica after MS milliseconds",
     )
     p_serve.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
@@ -1041,17 +1036,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
+def _serve_front(args: argparse.Namespace, sink):
+    """The single server, or with ``--replicas N`` the router, to run."""
     from repro.serve import RoutingServer, ServeConfig
 
-    sink = _trace_sink(args)
-    if args.replicas and args.replicas > 0:
+    plan = _fault_plan(args)
+    if args.replicas > 0:
         from repro.serve.replica import ReplicaSet
         from repro.serve.router import RouterConfig, RoutingRouter
 
-        plan = _fault_plan(args)
+        # Each replica admits its own traffic: --max-queue / --rate /
+        # --burst reach every replica, and the router spills refusals.
         replica_set = ReplicaSet(
             args.replicas,
             host=args.host,
@@ -1060,18 +1055,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
+            rate=args.rate,
+            burst=args.burst,
             cache_dir=args.cache_dir,
             fault_plan=plan,
         )
-        # Admission is lifted to the router in replicated mode: --rate /
-        # --burst shape the per-replica token buckets at the front.
-        router = RoutingRouter(
+        return RoutingRouter(
             replica_set,
             RouterConfig(
                 host=args.host, port=args.port, http_port=args.http_port,
-                hedge_ms=args.hedge_ms,
-                replica_rate=args.rate, replica_burst=args.burst,
-                replica_queue=args.max_queue,
                 drain_grace=args.drain_grace, seed=args.seed,
                 port_file=args.port_file,
             ),
@@ -1079,16 +1071,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan=plan,
             own_replica_set=True,
         )
-        try:
-            asyncio.run(router.run())
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
-        finally:
-            if sink is not None:
-                sink.close()
-        return 0
-
-    server = RoutingServer(ServeConfig(
+    return RoutingServer(ServeConfig(
         host=args.host, port=args.port, http_port=args.http_port,
         timeout=args.timeout, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
@@ -1099,10 +1082,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_active_jobs=args.max_active_jobs,
         max_queued_jobs=args.max_queued_jobs,
         job_deadline_s=args.job_deadline,
-        fault_plan=_fault_plan(args),
+        fault_plan=plan,
     ), trace_sink=sink)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    sink = _trace_sink(args)
     try:
-        asyncio.run(server.run())
+        try:
+            front = _serve_front(args, sink)
+        except ValueError as exc:  # a setting its constructor rejects
+            raise ReproError(str(exc)) from exc
+        asyncio.run(front.run())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:

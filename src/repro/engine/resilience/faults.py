@@ -21,11 +21,10 @@ which is how the checkpoint/resume path is exercised deterministically.
 Serve-layer faults (see ``docs/RESILIENCE.md``) extend the same spec
 grammar one tier up, into :mod:`repro.serve`:
 
-* ``conn_drop`` / ``conn_garble`` / ``serve_latency`` are per-forward-
-  attempt rates drawn by :meth:`FaultPlan.decide_serve` — the router
-  drops the replica connection mid-request, garbles the replica's
-  response assignment (which can never pass validation), or delays the
-  response by ``latency_seconds`` (which is what trips hedging);
+* ``conn_drop`` / ``conn_garble`` are per-forward-attempt rates drawn
+  by :meth:`FaultPlan.decide_serve` — the router drops the replica
+  connection mid-request, or garbles the replica's response assignment
+  (which can never pass validation);
 * ``kill_replica_after=N`` / ``stop_replica_after=N`` are parent-side
   faults applied by the :class:`~repro.serve.replica.ReplicaSet`:
   after ``N`` routed requests a seeded-chosen replica process is
@@ -48,8 +47,7 @@ from repro.substrate.prng import derive_seed
 __all__ = ["FaultPlan", "corrupt_assignment"]
 
 _FLOAT_FIELDS = (
-    "crash", "hang", "garbage", "hang_seconds",
-    "conn_drop", "conn_garble", "serve_latency", "latency_seconds",
+    "crash", "hang", "garbage", "hang_seconds", "conn_drop", "conn_garble",
 )
 _INT_FIELDS = (
     "seed", "kill_after_checkpoints",
@@ -77,16 +75,12 @@ class FaultPlan:
     #: Serve-layer per-forward-attempt rates (see :meth:`decide_serve`).
     conn_drop: float = 0.0
     conn_garble: float = 0.0
-    serve_latency: float = 0.0
-    #: Injected delay of one ``serve_latency`` fault, in seconds.
-    latency_seconds: float = 0.25
     #: Parent-side replica faults applied by the ReplicaSet.
     kill_replica_after: Optional[int] = None
     stop_replica_after: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("crash", "hang", "garbage",
-                     "conn_drop", "conn_garble", "serve_latency"):
+        for name in ("crash", "hang", "garbage", "conn_drop", "conn_garble"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise FormatError(
@@ -94,15 +88,11 @@ class FaultPlan:
                 )
         if self.crash + self.hang + self.garbage > 1.0:
             raise FormatError("fault rates must sum to <= 1")
-        if self.conn_drop + self.conn_garble + self.serve_latency > 1.0:
+        if self.conn_drop + self.conn_garble > 1.0:
             raise FormatError("serve fault rates must sum to <= 1")
         if self.hang_seconds <= 0:
             raise FormatError(
                 f"hang_seconds must be positive, got {self.hang_seconds}"
-            )
-        if self.latency_seconds <= 0:
-            raise FormatError(
-                f"latency_seconds must be positive, got {self.latency_seconds}"
             )
         for name in ("kill_after_checkpoints", "kill_replica_after",
                      "stop_replica_after"):
@@ -152,12 +142,10 @@ class FaultPlan:
             parts.append(f"kill_after_checkpoints={self.kill_after_checkpoints}")
         # Serve-layer fields ride along only when active, so worker-bound
         # spec strings from engine-only plans are unchanged.
-        for name in ("conn_drop", "conn_garble", "serve_latency"):
+        for name in ("conn_drop", "conn_garble"):
             rate = getattr(self, name)
             if rate:
                 parts.append(f"{name}={rate!r}")
-        if self.serve_latency:
-            parts.append(f"latency_seconds={self.latency_seconds!r}")
         for name in ("kill_replica_after", "stop_replica_after"):
             value = getattr(self, name)
             if value is not None:
@@ -182,7 +170,7 @@ class FaultPlan:
 
     def decide_serve(self, request_key: str, attempt: int) -> Optional[str]:
         """Serve-layer fault for one forward attempt:
-        ``"drop"``/``"garble"``/``"latency"``/None.
+        ``"drop"``/``"garble"``/None.
 
         Pure function of ``(self.seed, request_key, attempt)``, drawn
         from a stream distinct from :meth:`decide` so engine- and
@@ -195,8 +183,6 @@ class FaultPlan:
             return "drop"
         if unit < self.conn_drop + self.conn_garble:
             return "garble"
-        if unit < self.conn_drop + self.conn_garble + self.serve_latency:
-            return "latency"
         return None
 
     def replica_victim(self, n_replicas: int, kind: str) -> int:

@@ -18,9 +18,9 @@ supervises N engine replica processes (heartbeats, restart with
 backoff, flap quarantine — :mod:`.replica`) behind a
 :class:`RoutingRouter` that places requests by consistent hash of the
 canonical instance key, fails over with digest-validated replay, opens
-per-replica circuit breakers, and hedges stragglers
-(:mod:`.router`).  See ``docs/SERVING.md`` for the architecture and
-knobs.
+per-replica circuit breakers, and spills past replicas that refuse
+(:mod:`.router`); each replica admits its own traffic.  See
+``docs/SERVING.md`` for the architecture and knobs.
 
 Quickstart (server)::
 
@@ -28,7 +28,7 @@ Quickstart (server)::
 
 Quickstart (replicated)::
 
-    segroute serve --replicas 3 --port 7455 --hedge-ms 50
+    segroute serve --replicas 3 --port 7455 --max-queue 32
 
 Quickstart (client)::
 

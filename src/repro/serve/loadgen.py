@@ -25,10 +25,9 @@ response per entry *and only if every repeat answered identically*
 failover router must preserve: a request replayed on a different
 replica mid-run may not change the answer.
 
-The report (written to ``BENCH_serve.json`` by
-``tools/collect_bench_tables.py``) carries status counts, protocol
-errors, throughput, client-observed latency percentiles, and — against
-a replicated router — the server's own failover/hedge/per-replica
+The report (``segroute loadgen -o REPORT.json``) carries status counts,
+protocol errors, throughput, client-observed latency percentiles, and —
+against a replicated router — the server's own failover/per-replica
 counters fetched over the ``stats`` op.
 """
 
@@ -248,7 +247,7 @@ def run_loadgen(
     # Digest when the run covers the whole corpus (possibly multiple
     # times) and nothing was shed or lost: hash the first response per
     # entry, but only if every repeat of an entry answered identically —
-    # the invariant a failover/hedging tier must preserve.
+    # the invariant a failover tier must preserve.
     digest = None
     consistent = None
     covered = {r["corpus_index"] for r in records}
@@ -355,9 +354,6 @@ def render_report(report: dict) -> str:
         lines.append(
             "router      "
             f"failovers={counters.get('serve.router.failovers', 0)}, "
-            f"hedges={counters.get('serve.router.hedges', 0)}, "
-            f"hedge_wins={counters.get('serve.router.hedge_wins', 0)}, "
-            f"spills={counters.get('serve.router.spills', 0)}, "
             f"breaker_opens={counters.get('serve.router.breaker_opens', 0)}"
         )
     for idx, counts in sorted(server.get("replicas", {}).items()):

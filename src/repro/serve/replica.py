@@ -125,6 +125,20 @@ class _Replica:
         )
 
 
+def _last_error_line(path: str) -> str:
+    """``": <reason>"`` from a dead child's last stderr line, or ``""``.
+
+    A replica that rejects a setting exits with one ``error:`` line, so
+    the parent can name the setting without repeating its checks.
+    """
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except OSError:
+        return ""
+    return f": {lines[-1].removeprefix('error: ')}" if lines else ""
+
+
 class ReplicaSet:
     """Launch and supervise N routing-server replica processes.
 
@@ -367,25 +381,28 @@ class ReplicaSet:
     async def _launch(self, replica: _Replica) -> None:
         """Spawn one replica process and wait for its port file."""
         assert self._workdir is not None
-        replica.port_file = os.path.join(
+        stem = os.path.join(
             self._workdir.name,
-            f"replica-{replica.index}-{replica.total_restarts}.json",
+            f"replica-{replica.index}-{replica.total_restarts}",
         )
+        replica.port_file = stem + ".json"
         replica.state = REPLICA_STARTING
         replica.heartbeat_misses = 0
         replica.last_start = time.monotonic()
-        replica.process = subprocess.Popen(
-            self._argv(replica),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=self._child_env(),
-        )
+        with open(stem + ".stderr", "wb") as stderr:
+            replica.process = subprocess.Popen(
+                self._argv(replica),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                env=self._child_env(),
+            )
         deadline = time.monotonic() + self.startup_timeout
         while time.monotonic() < deadline:
             if replica.process.poll() is not None:
                 raise ServeError(
                     f"replica {replica.index} exited during startup "
                     f"(code {replica.process.returncode})"
+                    + _last_error_line(stem + ".stderr")
                 )
             try:
                 with open(replica.port_file, encoding="utf-8") as handle:

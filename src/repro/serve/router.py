@@ -1,4 +1,4 @@
-"""The failover/hedging front router for a replicated serving tier.
+"""The failover front router for a replicated serving tier.
 
 A :class:`RoutingRouter` is a :class:`~repro.serve.server.ProtocolFront`,
 the same front door as :class:`~repro.serve.server.RoutingServer`: both
@@ -35,23 +35,22 @@ router↔replica hop negotiates v2):
   (``status: "error"``) are *successes* for the breaker: the replica is
   healthy, the instance is infeasible, and no other replica would
   answer differently.
-* **hedging** — when a request's first attempt has not answered within
-  the hedge delay (fixed ``hedge_ms``, or the observed ``p`` latency
-  percentile once enough samples exist), a second attempt is raced on
-  the next ring replica; the first digest-valid response wins and the
-  loser is cancelled exactly once.
-* **admission, lifted** — each replica gets its own token bucket and
-  in-flight bound at the router (``replica_rate`` / ``replica_burst`` /
-  ``replica_queue``); a replica over budget is spilled past to the next
-  ring candidate, and only when *every* candidate refuses does the
-  client see ``overloaded``.
+* **spill past refusals** — each replica admits its own traffic (its
+  server's :class:`~repro.serve.admission.AdmissionController`); a
+  replica that answers ``shed`` / ``overloaded`` is spilled past to the
+  next ring candidate, and only when *every* candidate refuses does the
+  client see the last refusal.
+
+A request has one attempt in flight at a time: any replica would return
+the same routing, so a second concurrent attempt could only repeat the
+solve.
 
 Serve-layer fault injection
 (:meth:`~repro.engine.resilience.faults.FaultPlan.decide_serve`) is
 applied here, per forward attempt: ``drop`` severs the replica
-connection, ``garble`` corrupts the returned assignment (caught by
-validation), ``latency`` delays the response (what trips hedging) —
-all as pure functions of the plan seed, so chaos runs replay exactly.
+connection and ``garble`` corrupts the returned assignment (caught by
+validation) — both as pure functions of the plan seed, so chaos runs
+replay exactly.
 
 With a trace sink the router emits ``router.request`` / one
 ``router.forward`` span per attempt (prefix ``rt``), parented into the
@@ -76,7 +75,6 @@ from repro.engine.metrics import Metrics
 from repro.engine.resilience.faults import FaultPlan, corrupt_assignment
 from repro.engine.resilience.retry import RetryPolicy
 from repro.obs.trace import SpanCollector, TraceSink, derive_trace_id
-from repro.serve.admission import AdmissionController
 from repro.serve.client import AsyncRoutingClient
 from repro.serve.protocol import (
     REJECTION_STATUSES,
@@ -212,16 +210,6 @@ class RouterConfig:
         Virtual nodes per replica on the consistent-hash ring.
     failure_threshold / breaker_reset_s:
         Per-replica circuit-breaker shape.
-    hedge_ms:
-        Fixed hedge delay in milliseconds; ``None`` disables fixed
-        hedging.
-    hedge_percentile / hedge_min_samples:
-        Adaptive hedging: once ``hedge_min_samples`` forward latencies
-        are observed, hedge past that percentile of them.  ``hedge_ms``
-        wins when both are set.
-    replica_rate / replica_burst / replica_queue:
-        Lifted admission: per-replica token bucket (requests/second and
-        burst; ``None`` = unlimited) and in-flight bound at the router.
     forward_timeout:
         Per-attempt client timeout against a replica, seconds.
     drain_grace:
@@ -239,12 +227,6 @@ class RouterConfig:
     ring_points: int = 32
     failure_threshold: int = 3
     breaker_reset_s: float = 5.0
-    hedge_ms: Optional[float] = None
-    hedge_percentile: Optional[float] = None
-    hedge_min_samples: int = 20
-    replica_rate: Optional[float] = None
-    replica_burst: Optional[float] = None
-    replica_queue: int = 64
     forward_timeout: Optional[float] = 30.0
     drain_grace: float = 10.0
     seed: int = 0
@@ -255,29 +237,27 @@ class RouterConfig:
             raise ValueError(
                 f"ring_points must be >= 1, got {self.ring_points}"
             )
-        if self.hedge_ms is not None and self.hedge_ms < 0:
-            raise ValueError(f"hedge_ms must be >= 0, got {self.hedge_ms}")
-        if self.hedge_percentile is not None and not (
-            0.0 < self.hedge_percentile < 1.0
-        ):
+        if self.forward_timeout is not None and self.forward_timeout <= 0:
             raise ValueError(
-                f"hedge_percentile must be in (0, 1), "
-                f"got {self.hedge_percentile}"
+                f"forward_timeout must be positive, got {self.forward_timeout}"
             )
         if self.drain_grace < 0:
             raise ValueError(
                 f"drain_grace must be >= 0, got {self.drain_grace}"
             )
+        # The breaker's own checks, so a bad shape fails here rather
+        # than when the router builds its breakers.
+        CircuitBreaker(self.failure_threshold, self.breaker_reset_s)
 
 
 #: Per-replica counter keys tracked by the router.
 _REPLICA_COUNTS = (
-    "ok", "error", "failed", "refused", "spill", "hedged", "down_skips",
+    "ok", "error", "failed", "refused", "down_skips",
 )
 
 
 class RoutingRouter(ProtocolFront):
-    """Protocol front that places, fails over, and hedges across replicas.
+    """Protocol front that places requests on replicas and fails over.
 
     ``replica_set`` is anything with the
     :class:`~repro.serve.replica.ReplicaSet` interface (``n_replicas``,
@@ -320,14 +300,6 @@ class RoutingRouter(ProtocolFront):
             )
             for _ in range(n)
         ]
-        self.admissions = [
-            AdmissionController(
-                max_queue=self.config.replica_queue,
-                rate=self.config.replica_rate,
-                burst=self.config.replica_burst,
-            )
-            for _ in range(n)
-        ]
         self._replica_counts = [
             {key: 0 for key in _REPLICA_COUNTS} for _ in range(n)
         ]
@@ -337,7 +309,6 @@ class RoutingRouter(ProtocolFront):
         # forwards noticing the same dead client must not both rebuild
         # it (the loser's client would leak its reader task).
         self._client_locks = [asyncio.Lock() for _ in range(n)]
-        self._latencies: list[float] = []
         self._forward_ids = itertools.count(1)
         self._request_seq = 0
 
@@ -530,88 +501,29 @@ class RoutingRouter(ProtocolFront):
     async def _route_with_failover(
         self, request, collector, trace_id, parent_id
     ) -> dict:
+        """Walk the ring: one attempt in flight, spill past refusals,
+        fail over on transport or validation failures."""
         key = self.request_key(request)
         candidates = self.placement(key)
         tried: set[int] = set()
-        attempts = itertools.count()
         last_refusal: Optional[dict] = None
-        hedged = False
-        hedge_delay = self._hedge_delay()
         failures = 0
-        # Attempts race as a pool: a straggler (e.g. a hung hedge pair
-        # member) keeps racing while the loop moves on to the next
-        # candidate, so one slow replica never blocks failover.  The
-        # first terminal (ok/error) result wins; every completed
-        # attempt settles its own breaker/failover accounting in
-        # _try_replica / below, so a hedged pair that both fail counts
-        # two failovers, not one.
-        racing: set[asyncio.Task] = set()
-        hedge_task: Optional[asyncio.Task] = None
-
-        def spawn(idx: int) -> asyncio.Task:
-            task = asyncio.get_running_loop().create_task(
-                self._try_replica(
-                    idx, key, request, next(attempts),
-                    collector, trace_id, parent_id,
-                )
+        for attempt in itertools.count():
+            idx = self._next_usable(candidates, tried)
+            if idx is None:
+                break
+            tried.add(idx)
+            kind, response = await self._try_replica(
+                idx, key, request, attempt, collector, trace_id, parent_id,
             )
-            racing.add(task)
-            return task
-
-        try:
-            while True:
-                idx = self._next_usable(candidates, tried)
-                if idx is not None:
-                    tried.add(idx)
-                    spawn(idx)
-                    if hedge_delay is not None and not hedged:
-                        done, _ = await asyncio.wait(
-                            racing, timeout=hedge_delay,
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                        if not done:
-                            hedge_idx = self._next_usable(candidates, tried)
-                            if hedge_idx is not None:
-                                tried.add(hedge_idx)
-                                hedged = True
-                                self.metrics.incr("serve.router.hedges")
-                                self._replica_counts[hedge_idx][
-                                    "hedged"
-                                ] += 1
-                                hedge_task = spawn(hedge_idx)
-                elif not racing:
-                    break
-                done, _ = await asyncio.wait(
-                    racing, return_when=asyncio.FIRST_COMPLETED
-                )
-                # Primary-first: a primary and its hedge finishing in
-                # the same tick must not spuriously count a hedge win.
-                for task in sorted(done, key=lambda t: t is hedge_task):
-                    racing.discard(task)
-                    try:
-                        kind, response = task.result()
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception:  # pragma: no cover - defensive
-                        kind, response = "failed", None
-                        self.metrics.incr("serve.router.internal_errors")
-                    if kind in ("ok", "error"):
-                        if task is hedge_task and kind == "ok":
-                            self.metrics.incr("serve.router.hedge_wins")
-                        return response  # type: ignore[return-value]
-                    if kind == "refused" and response is not None:
-                        last_refusal = response
-                    if kind == "failed":
-                        failures += 1
-                        self.metrics.incr("serve.router.failovers")
-                        self.metrics.incr("serve.router.failover_attempts")
-        finally:
-            if racing:
-                for straggler in racing:
-                    straggler.cancel()
-                if hedged:
-                    self.metrics.incr("serve.router.hedge_cancelled")
-                await asyncio.gather(*racing, return_exceptions=True)
+            if kind in ("ok", "error"):
+                return response  # type: ignore[return-value]
+            if kind == "refused":
+                last_refusal = response
+            else:
+                failures += 1
+                self.metrics.incr("serve.router.failovers")
+                self.metrics.incr("serve.router.failover_attempts")
 
         if last_refusal is not None:
             return last_refusal
@@ -656,26 +568,13 @@ class RoutingRouter(ProtocolFront):
         self, idx, key, request, attempt,
         collector, trace_id, parent_id,
     ) -> tuple[str, Optional[dict]]:
-        """One admission-gated, breaker-accounted forward attempt."""
-        admission = self.admissions[idx]
-        decision = admission.try_admit(request.deadline_ms)
-        if not decision.admitted:
-            # allow() in _next_usable may have claimed the half-open
-            # probe slot; nothing reached the wire, so release it.
-            self.breakers[idx].record_abandoned()
-            self._replica_counts[idx]["spill"] += 1
-            self.metrics.incr("serve.router.spills")
-            return ("refused", failure_response(
-                request.request_id, decision.status,
-                "AdmissionRejected", decision.reason,
-            ))
+        """One breaker-accounted forward attempt."""
         span = None
         if collector is not None:
             span = collector.start(
                 "router.forward", parent_id=parent_id,
                 replica=idx, attempt=attempt,
             )
-        started = time.monotonic()
         try:
             kind, response = await self._forward_once(
                 idx, key, request, attempt,
@@ -687,18 +586,9 @@ class RoutingRouter(ProtocolFront):
                 span.set(status="cancelled")
                 span.finish()
             raise
-        finally:
-            admission.release()
-        elapsed = time.monotonic() - started
         if kind in ("ok", "error"):
             self.breakers[idx].record_success()
-            self._replica_counts[idx][
-                "ok" if kind == "ok" else "error"
-            ] += 1
-            admission.observe_service(elapsed)
-            self._latencies.append(elapsed)
-            if len(self._latencies) > 1024:
-                del self._latencies[:512]
+            self._replica_counts[idx][kind] += 1
         elif kind == "failed":
             self._replica_counts[idx]["failed"] += 1
             if self.breakers[idx].record_failure():
@@ -763,9 +653,6 @@ class RoutingRouter(ProtocolFront):
         if not self._validate(request, assignment):
             self.metrics.incr("serve.router.invalid_responses")
             return ("failed", response)
-        if fault == "latency":
-            self.metrics.incr("serve.router.injected_latency")
-            await asyncio.sleep(self.fault_plan.latency_seconds)
         return ("ok", response)
 
     @staticmethod
@@ -781,22 +668,6 @@ class RoutingRouter(ProtocolFront):
         except Exception:
             return False
         return routing.is_valid(request.max_segments)
-
-    def _hedge_delay(self) -> Optional[float]:
-        cfg = self.config
-        if cfg.hedge_ms is not None:
-            return cfg.hedge_ms / 1000.0
-        if (
-            cfg.hedge_percentile is not None
-            and len(self._latencies) >= cfg.hedge_min_samples
-        ):
-            ordered = sorted(self._latencies)
-            rank = min(
-                len(ordered) - 1,
-                max(0, int(round(cfg.hedge_percentile * (len(ordered) - 1)))),
-            )
-            return ordered[rank]
-        return None
 
     # ------------------------------------------------------------------
     # replica clients
@@ -871,11 +742,6 @@ class RoutingRouter(ProtocolFront):
                     counters[f"serve.router.replica{idx}.{key}"] = value
         derived = dict(snap["derived"])
         derived["serve.router.replicas_live"] = len(self._usable_indices())
-        for idx in range(self.replica_set.n_replicas):
-            derived.update({
-                f"serve.router.replica{idx}.queue_depth":
-                    self.admissions[idx].pending,
-            })
         return {
             "counters": counters,
             "derived": derived,

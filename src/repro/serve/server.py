@@ -121,9 +121,6 @@ class ServeConfig:
     seed:
         Engine seed (results are bit-reproducible for a given seed) and
         the namespace for server-derived trace IDs.
-    service_prior_s / decay_halflife_s:
-        Admission service-time prior and idle decay half-life (see
-        :class:`~repro.serve.admission.AdmissionController`).
     port_file:
         Path to write ``{"port", "http_port", "pid"}`` as JSON after
         both listeners have bound — how a supervising
@@ -163,8 +160,6 @@ class ServeConfig:
     burst: Optional[float] = None
     drain_grace: float = 10.0
     seed: int = 0
-    service_prior_s: float = 0.0
-    decay_halflife_s: Optional[float] = 30.0
     port_file: Optional[str] = None
     cache_dir: Optional[str] = None
     jobs_dir: Optional[str] = None
@@ -562,8 +557,6 @@ class RoutingServer(ProtocolFront):
             max_queue=self.config.max_queue,
             rate=self.config.rate,
             burst=self.config.burst,
-            service_prior_s=self.config.service_prior_s,
-            decay_halflife_s=self.config.decay_halflife_s,
         )
         self.batcher = MicroBatcher(
             self.engine,

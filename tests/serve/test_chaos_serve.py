@@ -1,4 +1,4 @@
-"""Serve-layer chaos: replica kills, hangs, garbled wires, hedge races.
+"""Serve-layer chaos: replica kills, hangs, garbled wires, dead replicas.
 
 Everything here injects faults from a seeded
 :class:`~repro.engine.resilience.faults.FaultPlan` (or kills real
@@ -401,72 +401,11 @@ def test_breaker_opens_half_opens_and_closes_through_traffic():
 
 
 # ----------------------------------------------------------------------
-# hedging
+# every replica failing
 # ----------------------------------------------------------------------
-def test_hedged_request_wins_and_cancels_loser_exactly_once():
-    seed = 53
-    corpus = build_corpus(8, seed=seed)
-
-    async def main():
-        # Replica 0 is a black hole: accepts connections, never answers.
-        async def blackhole(reader, writer):
-            try:
-                while await reader.readline():
-                    pass
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-            finally:
-                writer.close()
-
-        hole = await asyncio.start_server(blackhole, "127.0.0.1", 0)
-        hole_port = hole.sockets[0].getsockname()[1]
-        real = RoutingServer(ServeConfig(port=0, http_port=0, seed=seed))
-        await real.start()
-        replica_set = StaticReplicaSet([
-            ("127.0.0.1", hole_port), ("127.0.0.1", real.port),
-        ])
-        router = RoutingRouter(
-            replica_set,
-            RouterConfig(port=0, http_port=0, seed=seed,
-                         hedge_ms=50.0, forward_timeout=10.0),
-        )
-        await router.start()
-        try:
-            # Pick an instance whose home replica is the black hole.
-            pick = None
-            for channel, conns, k in corpus:
-                message = route_request("x", channel, conns, max_segments=k)
-                key = RoutingRouter.request_key(parse_route_request(message))
-                if router.placement(key)[0] == 0:
-                    pick = (channel, conns, k)
-                    break
-            assert pick is not None, "no corpus key homed on replica 0"
-            async with AsyncRoutingClient(
-                "127.0.0.1", router.port, timeout=30
-            ) as client:
-                result = await client.route(
-                    pick[0], pick[1], max_segments=pick[2]
-                )
-            counters = router.metrics_snapshot()["counters"]
-        finally:
-            await router.drain()
-            hole.close()
-            await hole.wait_closed()
-            await real.drain()
-        return result, counters
-
-    result, counters = asyncio.run(main())
-    assert result.status == STATUS_OK  # the hedge's answer
-    assert counters["serve.router.hedges"] == 1
-    assert counters["serve.router.hedge_wins"] == 1
-    # The losing (hung) primary was cancelled exactly once.
-    assert counters["serve.router.hedge_cancelled"] == 1
-    assert counters["serve.router.replica1.hedged"] == 1
-
-
 async def _slow_close_server():
-    """A replica stand-in that accepts a request, stalls briefly past
-    the hedge trigger, then drops the connection — a fast 'failed'."""
+    """A replica stand-in that accepts a request, stalls briefly, then
+    drops the connection — a fast 'failed'."""
     async def handler(reader, writer):
         try:
             await reader.readline()
@@ -479,77 +418,7 @@ async def _slow_close_server():
     return await asyncio.start_server(handler, "127.0.0.1", 0)
 
 
-def test_fast_failure_does_not_wait_for_a_hung_hedge():
-    """When the primary fails while its hedge is still racing, the
-    failover loop must proceed to the next candidate immediately — a
-    hung hedge must not hold the request hostage until
-    forward_timeout."""
-    seed = 67
-    channel, conns, k = build_corpus(1, seed=seed)[0]
-
-    async def main():
-        async def blackhole(reader, writer):  # accepts, never answers
-            try:
-                while await reader.readline():
-                    pass
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-            finally:
-                writer.close()
-
-        hole = await asyncio.start_server(blackhole, "127.0.0.1", 0)
-        closer = await _slow_close_server()
-        real = RoutingServer(ServeConfig(port=0, http_port=0, seed=seed))
-        await real.start()
-        replica_set = StaticReplicaSet([
-            ("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3),
-        ])
-        router = RoutingRouter(
-            replica_set,
-            RouterConfig(port=0, http_port=0, seed=seed,
-                         hedge_ms=50.0, forward_timeout=30.0),
-        )
-        await router.start()
-        try:
-            message = route_request("x", channel, conns, max_segments=k)
-            key = RoutingRouter.request_key(parse_route_request(message))
-            order = router.placement(key)
-            # Home fails fast-ish, the hedge target hangs, the third
-            # candidate answers.
-            replica_set.set_endpoint(
-                order[0],
-                ("127.0.0.1", closer.sockets[0].getsockname()[1]),
-            )
-            replica_set.set_endpoint(
-                order[1],
-                ("127.0.0.1", hole.sockets[0].getsockname()[1]),
-            )
-            replica_set.set_endpoint(order[2], ("127.0.0.1", real.port))
-            async with AsyncRoutingClient(
-                "127.0.0.1", router.port, timeout=30
-            ) as client:
-                started = time.monotonic()
-                result = await client.route(channel, conns, max_segments=k)
-                elapsed = time.monotonic() - started
-            counters = router.metrics_snapshot()["counters"]
-        finally:
-            await router.drain()
-            hole.close()
-            closer.close()
-            await hole.wait_closed()
-            await closer.wait_closed()
-            await real.drain()
-        return result, elapsed, counters
-
-    result, elapsed, counters = asyncio.run(main())
-    assert result.status == STATUS_OK
-    assert elapsed < 10.0  # nowhere near the 30 s forward_timeout
-    assert counters["serve.router.hedges"] == 1
-    assert counters["serve.router.failover_attempts"] == 1  # the primary
-    assert counters["serve.router.hedge_cancelled"] == 1    # the straggler
-
-
-def test_hedged_pair_that_both_fail_counts_two_failovers():
+def test_two_failed_replicas_count_two_failovers():
     seed = 71
     channel, conns, k = build_corpus(1, seed=seed)[0]
 
@@ -561,7 +430,7 @@ def test_hedged_pair_that_both_fail_counts_two_failovers():
         router = RoutingRouter(
             replica_set,
             RouterConfig(port=0, http_port=0, seed=seed,
-                         hedge_ms=50.0, forward_timeout=30.0),
+                         forward_timeout=30.0),
         )
         await router.start()
         try:
@@ -580,7 +449,6 @@ def test_hedged_pair_that_both_fail_counts_two_failovers():
     result, counters = asyncio.run(main())
     assert result.status != STATUS_OK
     assert result.error_type == "ReplicaError"
-    assert counters["serve.router.hedges"] == 1
     # Two replicas were attempted and both failed: the failover
     # counters agree with the per-replica 'failed' counters.
     assert counters["serve.router.failovers"] == 2
@@ -589,34 +457,3 @@ def test_hedged_pair_that_both_fail_counts_two_failovers():
         counters.get(f"serve.router.replica{i}.failed", 0)
         for i in range(2)
     ) == 2
-
-
-def test_hedge_loses_to_a_merely_slow_primary():
-    seed = 59
-    channel, conns, k = build_corpus(1, seed=seed)[0]
-    # Every forward is delayed past the hedge trigger, so the hedge
-    # fires — but the primary (head start) still answers first.
-    plan = FaultPlan(serve_latency=1.0, latency_seconds=0.3, seed=seed)
-
-    async def main():
-        servers, _, router = await _static_stack(
-            2, seed,
-            config=RouterConfig(port=0, http_port=0, seed=seed,
-                                hedge_ms=50.0),
-            plan=plan,
-        )
-        try:
-            async with AsyncRoutingClient(
-                "127.0.0.1", router.port, timeout=30
-            ) as client:
-                result = await client.route(channel, conns, max_segments=k)
-        finally:
-            await _static_teardown(servers, router)
-        return result, router.metrics.snapshot()["counters"]
-
-    result, counters = asyncio.run(main())
-    assert result.status == STATUS_OK
-    assert counters["serve.router.injected_latency"] >= 1
-    assert counters["serve.router.hedges"] == 1
-    assert counters["serve.router.hedge_cancelled"] == 1  # loser: the hedge
-    assert counters.get("serve.router.hedge_wins", 0) == 0

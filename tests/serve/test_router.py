@@ -125,7 +125,7 @@ def test_breaker_abandoned_probe_releases_the_slot():
     clock.advance(1.0)
     assert breaker.allow()
     assert not breaker.allow()
-    breaker.record_abandoned()  # probe cancelled, e.g. a lost hedge race
+    breaker.record_abandoned()  # probe cancelled, e.g. its client left
     assert breaker.allow()
 
 
@@ -140,9 +140,9 @@ def test_breaker_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"ring_points": 0},
-    {"hedge_ms": -1.0},
-    {"hedge_percentile": 0.0},
-    {"hedge_percentile": 1.0},
+    {"failure_threshold": 0},
+    {"breaker_reset_s": 0.0},
+    {"forward_timeout": 0.0},
     {"drain_grace": -1.0},
 ])
 def test_router_config_validation(kwargs):
@@ -192,11 +192,15 @@ def test_placement_differs_across_seeds():
 # ----------------------------------------------------------------------
 # end-to-end forwarding
 # ----------------------------------------------------------------------
-async def _serving_stack(n_servers, seed, config=None, clock=None):
+async def _serving_stack(
+    n_servers, seed, config=None, clock=None, max_queue=64
+):
     """N in-loop replica servers + a router fronting them."""
     servers = []
     for _ in range(n_servers):
-        server = RoutingServer(ServeConfig(port=0, http_port=0, seed=seed))
+        server = RoutingServer(ServeConfig(
+            port=0, http_port=0, seed=seed, max_queue=max_queue,
+        ))
         await server.start()
         servers.append(server)
     replica_set = StaticReplicaSet(
@@ -330,36 +334,34 @@ def test_router_spills_to_overloaded_only_when_all_replicas_refuse():
     channel, conns, k = build_corpus(1, seed=seed)[0]
 
     async def main():
-        servers, _, router = await _serving_stack(
-            2, seed,
-            config=RouterConfig(port=0, http_port=0, seed=seed,
-                                replica_queue=1),
-        )
+        servers, _, router = await _serving_stack(2, seed, max_queue=1)
         try:
-            for admission in router.admissions:  # hold every slot
-                assert admission.try_admit().admitted
+            for server in servers:  # hold every replica's only slot
+                assert server.admission.try_admit().admitted
             async with AsyncRoutingClient(
                 "127.0.0.1", router.port, timeout=30
             ) as client:
                 refused = await client.route(channel, conns, max_segments=k)
-                for admission in router.admissions:
-                    admission.release()
+                for server in servers:
+                    server.admission.release()
                 admitted = await client.route(channel, conns, max_segments=k)
         finally:
             await _teardown(servers, router)
-        return refused, admitted, router.metrics.snapshot()["counters"]
+        return refused, admitted, router.metrics_snapshot()["counters"]
 
     refused, admitted, counters = asyncio.run(main())
     assert refused.status == STATUS_OVERLOADED
     assert refused.error_type == "AdmissionRejected"
     assert admitted.status == STATUS_OK
-    assert counters["serve.router.spills"] == 2   # both replicas spilled
+    # Both replicas refused and were spilled past ...
+    assert counters["serve.router.replica0.refused"] == 1
+    assert counters["serve.router.replica1.refused"] == 1
     assert counters["serve.router.refused"] == 1  # but one client refusal
 
 
 def test_refused_probe_does_not_wedge_the_breaker():
-    """A half-open probe that ends in an admission spill must release
-    the probe slot: the next request is a fresh probe, not a permanent
+    """A half-open probe that the replica refuses must release the
+    probe slot: the next request is a fresh probe, not a permanent
     route-around of a healthy replica."""
     seed = 61
     channel, conns, k = build_corpus(1, seed=seed)[0]
@@ -369,20 +371,21 @@ def test_refused_probe_does_not_wedge_the_breaker():
         servers, _, router = await _serving_stack(
             1, seed,
             config=RouterConfig(port=0, http_port=0, seed=seed,
-                                failure_threshold=1, breaker_reset_s=5.0,
-                                replica_queue=1),
+                                failure_threshold=1, breaker_reset_s=5.0),
             clock=clock,
+            max_queue=1,
         )
+        admission = servers[0].admission
         try:
             breaker = router.breakers[0]
             breaker.record_failure()            # open
             clock.advance(5.0)                  # expires to half-open
-            assert router.admissions[0].try_admit().admitted  # hold the slot
+            assert admission.try_admit().admitted  # hold the only slot
             async with AsyncRoutingClient(
                 "127.0.0.1", router.port, timeout=30
             ) as client:
                 refused = await client.route(channel, conns, max_segments=k)
-                router.admissions[0].release()
+                admission.release()
                 ok = await client.route(channel, conns, max_segments=k)
             state = breaker.state
         finally:
@@ -470,23 +473,3 @@ def test_router_port_file(tmp_path):
             await _teardown(servers, router)
 
     asyncio.run(main())
-
-
-def test_hedge_delay_fixed_and_adaptive():
-    replica_set = StaticReplicaSet([("h", 1), ("h", 2)])
-    fixed = RoutingRouter(
-        replica_set, RouterConfig(hedge_ms=50.0)
-    )
-    assert fixed._hedge_delay() == pytest.approx(0.05)
-
-    adaptive = RoutingRouter(
-        replica_set,
-        RouterConfig(hedge_percentile=0.9, hedge_min_samples=10),
-    )
-    assert adaptive._hedge_delay() is None  # not enough samples yet
-    adaptive._latencies = [0.01 * (i + 1) for i in range(10)]
-    delay = adaptive._hedge_delay()
-    assert delay == pytest.approx(0.09)  # p90 of 10..100ms
-
-    disabled = RoutingRouter(replica_set, RouterConfig())
-    assert disabled._hedge_delay() is None

@@ -415,3 +415,61 @@ class TestServe:
             main(["serve", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_serve_has_no_hedge_flag(self, capsys):
+        # The router keeps one attempt in flight per request.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--hedge-ms", "50"])
+        assert exc.value.code == 2
+        assert "--hedge-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--drain-grace", "-1"], "drain_grace must be >= 0"),
+        (["--job-deadline", "0"], "default_deadline_s must be positive"),
+        (["--max-queue", "0"], "max_queue must be >= 1"),
+        (["--replicas", "2", "--drain-grace", "-1"],
+         "drain_grace must be >= 0"),
+    ], ids=[
+        "drain-grace", "job-deadline", "max-queue", "replicas-drain-grace",
+    ])
+    def test_rejected_setting_is_one_error_line(self, flags, message, capsys):
+        code = main(["serve", "--port", "0", "--http-port", "0", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_replica_rejected_setting_is_one_error_line(self, capsys):
+        # The replica checks --rate itself; the parent reports its reason.
+        code = main(["serve", "--port", "0", "--http-port", "0",
+                     "--replicas", "1", "--rate", "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: replica 0 exited during startup" in err
+        assert "rate must be positive" in err
+        assert "Traceback" not in err
+
+    def test_replicas_get_the_admission_settings(self, monkeypatch):
+        import repro.serve.replica
+        from repro.serve.router import RoutingRouter
+
+        calls = []
+
+        class RecordingReplicaSet:
+            def __init__(self, n_replicas, **kwargs):
+                self.n_replicas = n_replicas
+                calls.append(kwargs)
+
+        async def run(self):
+            return None
+
+        monkeypatch.setattr(
+            repro.serve.replica, "ReplicaSet", RecordingReplicaSet
+        )
+        monkeypatch.setattr(RoutingRouter, "run", run)
+        assert main(["serve", "--replicas", "2", "--rate", "5",
+                     "--burst", "3", "--max-queue", "7"]) == 0
+        assert len(calls) == 1
+        assert calls[0]["rate"] == 5.0
+        assert calls[0]["burst"] == 3.0
+        assert calls[0]["max_queue"] == 7
