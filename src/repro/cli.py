@@ -25,8 +25,7 @@ Usage (also available as ``python -m repro``)::
                   [--max-rounds R] [--jobs N] [--job-id ID]
                   [--deadline S] [-o REPORT.json]
     segroute bench [--quick] [--check] [--repeats N] [-o BENCH_kernels.json]
-    segroute serve [--port P] [--http-port P] [--max-batch B]
-                   [--max-wait-ms MS] [--max-queue Q] [--rate R]
+    segroute serve [--port P] [--http-port P] [--max-queue Q] [--rate R]
                    [--timeout S] [--trace TRACE.jsonl]
                    [--replicas N] [--inject-faults SPEC]
                    [--port-file FILE] [--jobs-dir DIR]
@@ -415,14 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--timeout", type=float, default=None,
         help="per-request engine deadline in seconds",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=16,
-        help="micro-batch window size bound (default: 16)",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="micro-batch window age bound in ms (default: 5)",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=64,
@@ -1041,40 +1032,9 @@ def _serve_front(args: argparse.Namespace, sink):
     from repro.serve import RoutingServer, ServeConfig
 
     plan = _fault_plan(args)
-    if args.replicas > 0:
-        from repro.serve.replica import ReplicaSet
-        from repro.serve.router import RouterConfig, RoutingRouter
-
-        # Each replica admits its own traffic: --max-queue / --rate /
-        # --burst reach every replica, and the router spills refusals.
-        replica_set = ReplicaSet(
-            args.replicas,
-            host=args.host,
-            seed=args.seed,
-            timeout=args.timeout,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-            rate=args.rate,
-            burst=args.burst,
-            cache_dir=args.cache_dir,
-            fault_plan=plan,
-        )
-        return RoutingRouter(
-            replica_set,
-            RouterConfig(
-                host=args.host, port=args.port, http_port=args.http_port,
-                drain_grace=args.drain_grace, seed=args.seed,
-                port_file=args.port_file,
-            ),
-            trace_sink=sink,
-            fault_plan=plan,
-            own_replica_set=True,
-        )
-    return RoutingServer(ServeConfig(
+    config = ServeConfig(
         host=args.host, port=args.port, http_port=args.http_port,
-        timeout=args.timeout, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
+        timeout=args.timeout, max_queue=args.max_queue,
         rate=args.rate, burst=args.burst, drain_grace=args.drain_grace,
         seed=args.seed, port_file=args.port_file,
         cache_dir=args.cache_dir,
@@ -1083,7 +1043,27 @@ def _serve_front(args: argparse.Namespace, sink):
         max_queued_jobs=args.max_queued_jobs,
         job_deadline_s=args.job_deadline,
         fault_plan=plan,
-    ), trace_sink=sink)
+    )
+    if args.replicas > 0:
+        from repro.serve.replica import ReplicaSet
+        from repro.serve.router import RouterConfig, RoutingRouter
+
+        # Every replica runs with this config (each admits its own
+        # traffic; the router spills refusals); the router takes its
+        # front door from it.
+        return RoutingRouter(
+            ReplicaSet(args.replicas, config),
+            RouterConfig(
+                host=config.host, port=config.port,
+                http_port=config.http_port,
+                drain_grace=config.drain_grace, seed=config.seed,
+                port_file=config.port_file,
+            ),
+            trace_sink=sink,
+            fault_plan=plan,
+            own_replica_set=True,
+        )
+    return RoutingServer(config, trace_sink=sink)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -5,8 +5,9 @@ turns that into an online service: a newline-delimited JSON protocol
 with an optional negotiated binary framing for the route hot path
 (:mod:`.protocol`, :mod:`.wire`), an admission layer with a bounded queue,
 token-bucket rate limiting, and deadline-aware load shedding
-(:mod:`.admission`), a micro-batcher that coalesces concurrent requests
-into :meth:`~repro.engine.RoutingEngine.route_many` windows
+(:mod:`.admission`), a micro-batcher that routes the requests queued
+behind a running solve as one
+:meth:`~repro.engine.RoutingEngine.route_many` window
 (:mod:`.batcher`), the server itself with health/readiness probes, a
 Prometheus ``/metrics`` endpoint, and graceful drain on SIGTERM
 (:mod:`.server`), an async client SDK and the blocking client that
@@ -24,7 +25,7 @@ per-replica circuit breakers, and spills past replicas that refuse
 
 Quickstart (server)::
 
-    segroute serve --port 7455 --http-port 7456 --max-batch 16
+    segroute serve --port 7455 --http-port 7456
 
 Quickstart (replicated)::
 

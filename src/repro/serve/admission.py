@@ -15,10 +15,9 @@ queuing it can possibly end well.  Three gates, in order:
    refused with ``shed``: it would time out anyway, so the server
    spends zero solve time on it and tells the client immediately.
 
-The service-time estimate is seeded from a configurable prior
-(``service_prior_s``) so a cold, unmeasured server does not admit
-unboundedly, and it decays back toward that prior with half-life
-``decay_halflife_s`` while no requests complete — a transient spike
+The service-time estimate is 0 until the first request completes (an
+unmeasured server never deadline-sheds), and it decays back toward 0
+with a half-life of 30 s while no requests complete — a transient spike
 observed just before an idle period cannot shed forever.
 
 Gates 1 and 2 protect the server; gate 3 protects the client.  Both
@@ -44,6 +43,9 @@ __all__ = ["AdmissionController", "AdmissionDecision"]
 
 #: Weight of the newest sample in the service-time EWMA.
 _EWMA_ALPHA = 0.2
+
+#: Seconds of idleness that halve the service-time estimate.
+_DECAY_HALFLIFE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,6 @@ class AdmissionController:
     burst:
         Bucket capacity; defaults to ``rate`` (1 second of burst).
         Ignored when ``rate`` is ``None``.
-    service_prior_s:
-        Prior per-request service time in seconds: the estimate before
-        the first observation, and the value the EWMA decays back to
-        while idle.  ``0.0`` (the default) reproduces the historical
-        cold-start behaviour of never shedding an unmeasured server.
-    decay_halflife_s:
-        Idle half-life of the EWMA's excursion from the prior, or
-        ``None`` for no decay.  After ``h`` idle seconds the effective
-        estimate is ``prior + (ewma - prior) * 0.5 ** (h / halflife)``.
     clock:
         Monotonic clock, injectable for tests.
     """
@@ -91,8 +84,6 @@ class AdmissionController:
         max_queue: int = 64,
         rate: Optional[float] = None,
         burst: Optional[float] = None,
-        service_prior_s: float = 0.0,
-        decay_halflife_s: Optional[float] = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_queue < 1:
@@ -101,19 +92,9 @@ class AdmissionController:
             raise ValueError(f"rate must be positive, got {rate}")
         if burst is not None and burst < 1:
             raise ValueError(f"burst must be >= 1, got {burst}")
-        if service_prior_s < 0:
-            raise ValueError(
-                f"service_prior_s must be >= 0, got {service_prior_s}"
-            )
-        if decay_halflife_s is not None and decay_halflife_s <= 0:
-            raise ValueError(
-                f"decay_halflife_s must be positive, got {decay_halflife_s}"
-            )
         self.max_queue = max_queue
         self.rate = rate
         self.burst = float(burst if burst is not None else (rate or 0.0)) or 1.0
-        self.service_prior_s = service_prior_s
-        self.decay_halflife_s = decay_halflife_s
         self._clock = clock
         self._lock = threading.Lock()
         self._tokens = self.burst
@@ -133,8 +114,8 @@ class AdmissionController:
         """Predicted queue wait for a newly admitted request.
 
         Pending depth times the effective per-request service-time
-        estimate (prior before any observation; idle-decayed EWMA
-        after — see :meth:`effective_service_s`).
+        estimate (0 before any observation; idle-decayed EWMA after —
+        see :meth:`effective_service_s`).
         """
         with self._lock:
             return self._estimated_wait_s()
@@ -146,14 +127,9 @@ class AdmissionController:
 
     def _effective_service_s(self) -> float:
         if self._service_ewma_s is None:
-            return self.service_prior_s
-        if self.decay_halflife_s is None or self._observed_at is None:
-            return self._service_ewma_s
+            return 0.0
         idle = max(0.0, self._clock() - self._observed_at)
-        weight = 0.5 ** (idle / self.decay_halflife_s)
-        return self.service_prior_s + (
-            self._service_ewma_s - self.service_prior_s
-        ) * weight
+        return self._service_ewma_s * 0.5 ** (idle / _DECAY_HALFLIFE_S)
 
     def _estimated_wait_s(self) -> float:
         return self._pending * self._effective_service_s()
@@ -201,7 +177,7 @@ class AdmissionController:
         """Feed one completed request's service time into the EWMA.
 
         The update applies to the *decayed* estimate, so a sample after
-        a long idle period moves on from the prior, not from a stale
+        a long idle period moves on from near 0, not from a stale
         spike.
         """
         if seconds < 0:

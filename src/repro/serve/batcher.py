@@ -1,13 +1,16 @@
-"""Micro-batching: coalesce concurrent requests into ``route_many`` windows.
+"""Micro-batching: route queued requests through ``route_many`` windows.
 
 The engine's batch API amortizes canonical-key computation and cache
 bookkeeping across a whole batch; feeding it singletons throws that
 away.  The :class:`MicroBatcher` sits between the asyncio request
 handlers and the engine: admitted requests land on an internal queue,
-and a single dispatcher task closes a *window* when either
-``max_batch`` requests have accumulated or ``max_wait`` seconds have
-passed since the window opened — the classic latency/throughput knob
-pair.
+and a single dispatcher task routes them one *window* at a time.  The
+dispatcher is work-conserving: it waits for the first request, takes
+whatever else has already queued (up to 16 requests) without waiting
+for more, and dispatches.  A lone request is routed at once, and
+windows of more than one form only from requests that queued while the
+previous window was being routed, so batching appears exactly when the
+solver is the bottleneck.
 
 Each window is partitioned by ``(weight, algorithm)`` (the two
 parameters ``route_many`` fixes per call; ``max_segments`` rides along
@@ -39,6 +42,11 @@ __all__ = ["MicroBatcher", "PendingRequest"]
 #: Queue sentinel that tells the dispatcher loop to flush and exit.
 _STOP = object()
 
+#: Most requests one window takes.  A window's answers are delivered
+#: together, so an unbounded window under overload would hold its first
+#: answers behind every other queued solve.
+_WINDOW_CAP = 16
+
 
 @dataclass
 class PendingRequest:
@@ -57,20 +65,12 @@ class PendingRequest:
 
 
 class MicroBatcher:
-    """Window-building dispatcher in front of one :class:`RoutingEngine`.
+    """Work-conserving dispatcher in front of one :class:`RoutingEngine`.
 
     Parameters
     ----------
     engine:
         The engine every window is routed through.
-    max_batch:
-        Window size bound: a window dispatches as soon as this many
-        requests are waiting.
-    max_wait:
-        Window age bound in seconds: a non-empty window dispatches at
-        latest this long after its first request arrived.  ``0`` makes
-        the batcher a pass-through (batches form only from genuinely
-        concurrent arrivals).
     timeout:
         Passed through to :meth:`RoutingEngine.route_many`.
     metrics:
@@ -87,19 +87,11 @@ class MicroBatcher:
         self,
         engine: RoutingEngine,
         *,
-        max_batch: int = 16,
-        max_wait: float = 0.005,
         timeout: Optional[float] = None,
         metrics: Optional[Metrics] = None,
         service_observer=None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self.engine = engine
-        self.max_batch = max_batch
-        self.max_wait = max_wait
         self.timeout = timeout
         self.metrics = metrics
         self.service_observer = service_observer
@@ -156,24 +148,15 @@ class MicroBatcher:
             self.metrics.observe(name, value)
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         stopping = False
         while not stopping:
             first = await self._queue.get()
             if first is _STOP:
                 break
+            # The window is whatever queued while the last one ran.
             window = [first]
-            closes_at = loop.time() + self.max_wait
-            while len(window) < self.max_batch:
-                remaining = closes_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while len(window) < _WINDOW_CAP and not self._queue.empty():
+                item = self._queue.get_nowait()
                 if item is _STOP:
                     stopping = True
                     break

@@ -207,7 +207,8 @@ def run_loadgen(
     digest of the same corpus.  With ``include_server_stats`` the
     server's ``serve.*`` counters (and, against a router, its
     per-replica failover/shed counts) are fetched post-run under
-    ``"server"``.
+    ``"server"``.  ``completed`` and ``throughput_rps`` count only the
+    ``ok``/``error`` answers; refusals are counted under ``shed``.
 
     ``wire`` selects the client framing (``"auto"`` negotiates binary
     when the server offers it, ``"v1"`` forces NDJSON, ``"v2"``
@@ -289,13 +290,13 @@ def run_loadgen(
     return {
         "mode": mode,
         "requests": requests,
-        "completed": len(records),
+        "completed": len(completed),
         "corpus_size": len(corpus),
         "concurrency": concurrency if mode == "closed" else None,
         "rate": rate if mode == "open" else None,
         "deadline_ms": deadline_ms,
         "wall_s": round(wall, 4),
-        "throughput_rps": round(len(records) / wall, 2) if wall > 0 else 0.0,
+        "throughput_rps": round(len(completed) / wall, 2) if wall > 0 else 0.0,
         "statuses": dict(sorted(statuses.items())),
         "shed": sum(statuses.get(s, 0) for s in REJECTION_STATUSES),
         "protocol_errors": protocol_errors,
@@ -326,7 +327,7 @@ def render_report(report: dict) -> str:
     lines = [
         f"mode        {report['mode']}",
         f"requests    {report['requests']} "
-        f"({report['completed']} completed, "
+        f"({report['completed']} completed, {report['shed']} refused, "
         f"{report['protocol_errors']} protocol errors)",
         f"throughput  {report['throughput_rps']} req/s "
         f"over {report['wall_s']}s",

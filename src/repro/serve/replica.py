@@ -28,8 +28,8 @@ indices, so cache affinity survives a restart — the replacement process
 warms the same key range its predecessor owned.
 
 Parent-side fault injection (chaos testing):
-:meth:`ReplicaSet.note_request` counts routed requests, and when a
-:class:`~repro.engine.resilience.faults.FaultPlan` carries
+:meth:`ReplicaSet.note_request` counts routed requests, and when the
+config's :class:`~repro.engine.resilience.faults.FaultPlan` carries
 ``kill_replica_after=N`` / ``stop_replica_after=N`` the seeded victim
 (:meth:`~repro.engine.resilience.faults.FaultPlan.replica_victim`) is
 SIGKILLed (crash mid-batch) or SIGSTOPped (hang until the heartbeat
@@ -58,9 +58,9 @@ from typing import Optional, Sequence
 
 from repro.core.errors import ServeError
 from repro.engine.metrics import Metrics
-from repro.engine.resilience.faults import FaultPlan
 from repro.engine.resilience.retry import RetryPolicy, backoff_delay
 from repro.serve.protocol import PROTOCOL_VERSION, decode, encode
+from repro.serve.server import ServeConfig
 
 __all__ = [
     "ReplicaStatus",
@@ -146,23 +146,29 @@ class ReplicaSet:
     ----------
     n_replicas:
         Replica process count (indices ``0..n-1`` are stable forever).
-    host:
-        Bind host for every replica (ports are always ephemeral).
-    seed:
-        Engine seed shared by *all* replicas — routing is deterministic
-        per seed, so any replica answers any request identically, which
-        is what makes failover digest-transparent.
-    timeout / max_batch / max_wait_ms / max_queue / rate / burst:
-        Per-replica :class:`~repro.serve.server.ServeConfig` knobs,
-        forwarded on each child's command line.  Each replica routes in
-        process, so ``n_replicas`` is the number of cores the set uses.
-    cache_dir:
-        Shared persistent-cache directory forwarded to every replica as
-        ``--cache-dir``.  All replicas point at the *same* directory, so
-        a result solved on replica 0 is a warm
-        :class:`~repro.engine.cache_store.CacheStore` hit on replica 2,
-        and a SIGKILLed-and-restarted replica answers its history from
-        disk.  ``None`` (the default) keeps caching per-process.
+        Each replica routes in process, so this is the number of cores
+        the set uses.
+    config:
+        The :class:`~repro.serve.server.ServeConfig` every replica runs
+        with, rendered onto each child's ``segroute serve`` command line
+        (default ``ServeConfig()``).  Ports are always ephemeral and
+        each child gets its own port file.  Details:
+
+        * ``host`` is the bind host of every replica, and ``seed`` the
+          engine seed shared by all of them — routing is deterministic
+          per seed, so any replica answers any request identically,
+          which is what makes failover digest-transparent;
+        * ``cache_dir`` is shared: all replicas point at the *same*
+          directory, so a result solved on replica 0 is a warm
+          :class:`~repro.engine.cache_store.CacheStore` hit on replica
+          2, and a SIGKILLed-and-restarted replica answers its history
+          from disk;
+        * ``jobs_dir`` is not: replica *i* keeps its chip jobs in
+          ``<jobs_dir>/replica-<i>``, so a restarted replica resumes its
+          own jobs and no others;
+        * ``fault_plan`` stays here: its ``kill_replica_after`` /
+          ``stop_replica_after`` faults are applied by this supervisor,
+          and it is not forwarded to the replicas.
     restart_policy:
         Restart budget and backoff shape (the engine's own
         :class:`~repro.engine.resilience.retry.RetryPolicy`).
@@ -175,9 +181,6 @@ class ReplicaSet:
         consecutive-miss count that declares a live process hung.
     startup_timeout:
         Seconds to wait for a launched replica to write its port file.
-    fault_plan:
-        Optional seeded plan whose ``kill_replica_after`` /
-        ``stop_replica_after`` faults this supervisor applies.
     metrics:
         Shared :class:`~repro.engine.metrics.Metrics` sink (the router
         passes its own so all counters land in one snapshot).
@@ -186,46 +189,26 @@ class ReplicaSet:
     def __init__(
         self,
         n_replicas: int,
+        config: Optional[ServeConfig] = None,
         *,
-        host: str = "127.0.0.1",
-        seed: int = 0,
-        timeout: Optional[float] = None,
-        max_batch: int = 16,
-        max_wait_ms: float = 5.0,
-        max_queue: int = 64,
-        rate: Optional[float] = None,
-        burst: Optional[float] = None,
-        drain_grace: float = 2.0,
-        cache_dir: Optional[str] = None,
         restart_policy: RetryPolicy = _RESTART_POLICY,
         flap_window_s: float = 60.0,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 2.0,
         heartbeat_misses: int = 2,
         startup_timeout: float = 20.0,
-        fault_plan: Optional[FaultPlan] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         self.n_replicas = n_replicas
-        self.host = host
-        self.seed = seed
-        self.timeout = timeout
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.max_queue = max_queue
-        self.rate = rate
-        self.burst = burst
-        self.drain_grace = drain_grace
-        self.cache_dir = cache_dir
+        self.config = config or ServeConfig()
         self.restart_policy = restart_policy
         self.flap_window_s = flap_window_s
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_misses = heartbeat_misses
         self.startup_timeout = startup_timeout
-        self.fault_plan = fault_plan
         self.metrics = metrics if metrics is not None else Metrics()
         self._replicas = [_Replica(index=i) for i in range(n_replicas)]
         self._workdir: Optional[tempfile.TemporaryDirectory] = None
@@ -290,7 +273,7 @@ class ReplicaSet:
         """``(host, port)`` of replica ``index``, or ``None`` if down."""
         replica = self._replicas[index]
         if replica.state == REPLICA_UP and replica.port is not None:
-            return (self.host, replica.port)
+            return (self.config.host, replica.port)
         return None
 
     def live_indices(self) -> list[int]:
@@ -302,7 +285,7 @@ class ReplicaSet:
     def note_request(self) -> None:
         """Count one routed request; applies pending parent-side faults."""
         self._requests_routed += 1
-        plan = self.fault_plan
+        plan = self.config.fault_plan
         if plan is None:
             return
         if (
@@ -338,24 +321,32 @@ class ReplicaSet:
     # internals
     # ------------------------------------------------------------------
     def _argv(self, replica: _Replica) -> list[str]:
+        """The ``segroute serve`` command line of one replica."""
+        config = self.config
         argv = [
             sys.executable, "-m", "repro", "serve",
-            "--host", self.host, "--port", "0", "--http-port", "0",
+            "--host", config.host, "--port", "0", "--http-port", "0",
             "--port-file", replica.port_file,
-            "--seed", str(self.seed),
-            "--max-batch", str(self.max_batch),
-            "--max-wait-ms", str(self.max_wait_ms),
-            "--max-queue", str(self.max_queue),
-            "--drain-grace", str(self.drain_grace),
+            "--seed", str(config.seed),
+            "--max-queue", str(config.max_queue),
+            "--drain-grace", str(config.drain_grace),
+            "--max-active-jobs", str(config.max_active_jobs),
+            "--max-queued-jobs", str(config.max_queued_jobs),
         ]
-        if self.timeout is not None:
-            argv += ["--timeout", str(self.timeout)]
-        if self.rate is not None:
-            argv += ["--rate", str(self.rate)]
-        if self.burst is not None:
-            argv += ["--burst", str(self.burst)]
-        if self.cache_dir is not None:
-            argv += ["--cache-dir", self.cache_dir]
+        optional = {
+            "--timeout": config.timeout,
+            "--rate": config.rate,
+            "--burst": config.burst,
+            "--cache-dir": config.cache_dir,
+            "--jobs-dir": (
+                os.path.join(config.jobs_dir, f"replica-{replica.index}")
+                if config.jobs_dir is not None else None
+            ),
+            "--job-deadline": config.job_deadline_s,
+        }
+        for flag, value in optional.items():
+            if value is not None:
+                argv += [flag, str(value)]
         return argv
 
     @staticmethod
@@ -428,7 +419,7 @@ class ReplicaSet:
             # it first so graceful drain gets a chance.
             process.send_signal(signal.SIGCONT)
             process.terminate()
-            process.wait(timeout=self.drain_grace + 3.0)
+            process.wait(timeout=self.config.drain_grace + 3.0)
         except (subprocess.TimeoutExpired, OSError):
             try:
                 process.kill()
@@ -437,9 +428,8 @@ class ReplicaSet:
                 pass
 
     def _signal_victim(self, kind: str, signum: int) -> None:
-        assert self.fault_plan is not None
         victim = self._replicas[
-            self.fault_plan.replica_victim(self.n_replicas, kind)
+            self.config.fault_plan.replica_victim(self.n_replicas, kind)
         ]
         if victim.process is not None and victim.process.poll() is None:
             self.metrics.incr(f"serve.replica.fault_{kind}s")
@@ -502,7 +492,7 @@ class ReplicaSet:
         writer = None
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, replica.port),
+                asyncio.open_connection(self.config.host, replica.port),
                 timeout=self.heartbeat_timeout,
             )
             writer.write(encode({
@@ -533,7 +523,7 @@ class ReplicaSet:
             return
         self.metrics.incr("serve.replica.restarts")
         delay = backoff_delay(
-            self.restart_policy, replica.restarts, self.seed,
+            self.restart_policy, replica.restarts, self.config.seed,
             f"replica:{replica.index}:{why}",
         )
         replica.state = REPLICA_RESTARTING

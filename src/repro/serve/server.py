@@ -110,9 +110,8 @@ class ServeConfig:
     http_port:
         Admin/metrics listener (same host); ``0`` for ephemeral.
     timeout:
-        Per-request engine deadline (seconds) applied to every batch.
-    max_batch / max_wait_ms:
-        Micro-batch window bounds (size / age).
+        Per-request engine deadline (seconds) applied to every batch;
+        ``None`` for no deadline, otherwise positive.
     max_queue / rate / burst:
         Admission knobs — bounded queue depth, token-bucket rate
         (requests/second, ``None`` = unlimited) and burst capacity.
@@ -146,15 +145,16 @@ class ServeConfig:
     fault_plan:
         Seeded fault-injection plan forwarded to both engines (chaos
         harness only); ``kill_after_checkpoints`` SIGKILLs the server
-        mid-job after that many journaled channel results.
+        mid-job after that many journaled channel results.  A
+        :class:`~repro.serve.replica.ReplicaSet` given this config
+        applies the plan's replica faults itself and does not forward
+        the plan to its replicas.
     """
 
     host: str = "127.0.0.1"
     port: int = 7455
     http_port: int = 7456
     timeout: Optional[float] = None
-    max_batch: int = 16
-    max_wait_ms: float = 5.0
     max_queue: int = 64
     rate: Optional[float] = None
     burst: Optional[float] = None
@@ -169,10 +169,8 @@ class ServeConfig:
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.drain_grace < 0:
             raise ValueError(
                 f"drain_grace must be >= 0, got {self.drain_grace}"
@@ -525,6 +523,12 @@ class RoutingServer(ProtocolFront):
     ) -> None:
         super().__init__()
         self.config = config or ServeConfig()
+        # First, so a rejected setting leaves no engine or thread behind.
+        self.admission = AdmissionController(
+            max_queue=self.config.max_queue,
+            rate=self.config.rate,
+            burst=self.config.burst,
+        )
         self._owns_engine = engine is None
         self.engine = engine or RoutingEngine(
             EngineConfig(
@@ -553,15 +557,8 @@ class RoutingServer(ProtocolFront):
             trace_sink=self.trace_sink,
             default_deadline_s=self.config.job_deadline_s,
         )
-        self.admission = AdmissionController(
-            max_queue=self.config.max_queue,
-            rate=self.config.rate,
-            burst=self.config.burst,
-        )
         self.batcher = MicroBatcher(
             self.engine,
-            max_batch=self.config.max_batch,
-            max_wait=self.config.max_wait_ms / 1000.0,
             timeout=self.config.timeout,
             metrics=self.metrics,
             service_observer=self.admission.observe_service,
@@ -727,7 +724,7 @@ class RoutingServer(ProtocolFront):
         )
         try:
             # Cache fast path: a canonical-cache hit is answered inline
-            # on the event loop — no batch window, no dispatch-thread
+            # on the event loop — no batcher queue, no dispatch-thread
             # hop.  Misses (and traced runs) fall through to the
             # batcher, which does its own cache/metrics accounting.
             result = self.engine.route_cached(

@@ -131,20 +131,9 @@ def test_constructor_validation(kwargs):
 
 
 # ----------------------------------------------------------------------
-# cold-start prior + idle decay (regression: the EWMA used to return 0
-# until the first sample and to hold a stale spike forever)
+# cold start + idle decay (regression: the EWMA used to hold a stale
+# spike forever)
 # ----------------------------------------------------------------------
-def test_service_prior_applies_before_first_sample():
-    ctl = AdmissionController(
-        max_queue=10, service_prior_s=0.05, clock=FakeClock()
-    )
-    assert ctl.effective_service_s() == pytest.approx(0.05)
-    ctl.try_admit()  # depth 1 -> estimated wait 50ms
-    decision = ctl.try_admit(deadline_ms=10)
-    assert not decision.admitted and decision.status == STATUS_SHED
-    assert ctl.try_admit(deadline_ms=500).admitted
-
-
 def test_zero_prior_reproduces_never_shed_cold_start():
     ctl = AdmissionController(max_queue=10, clock=FakeClock())
     ctl.try_admit()
@@ -152,24 +141,22 @@ def test_zero_prior_reproduces_never_shed_cold_start():
 
 
 def test_ewma_decays_toward_prior_while_idle():
+    # The prior is 0 and the half-life 30 s.
     clock = FakeClock()
-    ctl = AdmissionController(
-        max_queue=10, service_prior_s=0.01, decay_halflife_s=10.0,
-        clock=clock,
-    )
+    ctl = AdmissionController(max_queue=10, clock=clock)
     ctl.observe_service(1.0)
     assert ctl.effective_service_s() == pytest.approx(1.0)
-    clock.advance(10.0)  # one half-life: halfway back to the prior
-    assert ctl.effective_service_s() == pytest.approx(
-        0.01 + (1.0 - 0.01) * 0.5
-    )
-    clock.advance(190.0)  # twenty half-lives: effectively the prior
-    assert ctl.effective_service_s() == pytest.approx(0.01, abs=1e-4)
+    clock.advance(30.0)  # one half-life: halfway back to 0
+    assert ctl.effective_service_s() == pytest.approx(0.5)
+    clock.advance(30.0)
+    assert ctl.effective_service_s() == pytest.approx(0.25)
+    clock.advance(540.0)  # twenty half-lives: effectively 0
+    assert ctl.effective_service_s() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_stale_spike_cannot_shed_forever():
     clock = FakeClock()
-    ctl = AdmissionController(max_queue=10, clock=clock)  # default decay
+    ctl = AdmissionController(max_queue=10, clock=clock)
     ctl.observe_service(5.0)  # one pathological request...
     ctl.try_admit()           # ...with depth 1 queued behind it
     assert not ctl.try_admit(deadline_ms=100).admitted
@@ -179,40 +166,18 @@ def test_stale_spike_cannot_shed_forever():
 
 def test_observation_after_idle_updates_from_decayed_base():
     clock = FakeClock()
-    ctl = AdmissionController(
-        max_queue=10, decay_halflife_s=30.0, clock=clock
-    )
+    ctl = AdmissionController(max_queue=10, clock=clock)
     ctl.observe_service(1.0)
-    clock.advance(3000.0)  # the 1s spike has fully decayed (prior 0)
+    clock.advance(3000.0)  # the 1s spike has fully decayed
     ctl.observe_service(0.1)
     # The EWMA restarts from the decayed base, not the stale spike:
     # 0 + alpha * (0.1 - 0) = 0.02, nowhere near 1.0-ish.
     assert ctl.effective_service_s() < 0.1
 
 
-def test_no_decay_when_halflife_disabled():
-    clock = FakeClock()
-    ctl = AdmissionController(
-        max_queue=10, decay_halflife_s=None, clock=clock
-    )
-    ctl.observe_service(2.0)
-    clock.advance(10_000.0)
-    assert ctl.effective_service_s() == pytest.approx(2.0)
-
-
 def test_snapshot_reports_service_estimate():
     clock = FakeClock()
-    ctl = AdmissionController(
-        max_queue=10, service_prior_s=0.25, clock=clock
-    )
+    ctl = AdmissionController(max_queue=10, clock=clock)
+    assert ctl.snapshot()["serve.service_estimate_s"] == 0.0
+    ctl.observe_service(0.25)
     assert ctl.snapshot()["serve.service_estimate_s"] == pytest.approx(0.25)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"service_prior_s": -0.1},
-    {"decay_halflife_s": 0.0},
-    {"decay_halflife_s": -5.0},
-])
-def test_prior_and_decay_validation(kwargs):
-    with pytest.raises(ValueError):
-        AdmissionController(**kwargs)

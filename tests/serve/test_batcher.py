@@ -11,6 +11,7 @@ from repro.engine.metrics import Metrics
 from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.loadgen import build_corpus
 from repro.serve.protocol import STATUS_SHED, RouteRequest
+from tests.serve.gate import RouteGate
 
 
 def _pending(entry, loop, **kwargs):
@@ -37,9 +38,7 @@ def test_concurrent_submissions_share_one_batch():
     async def main():
         engine = RoutingEngine(EngineConfig(seed=11))
         metrics = Metrics()
-        batcher = MicroBatcher(
-            engine, max_batch=16, max_wait=0.05, metrics=metrics
-        )
+        batcher = MicroBatcher(engine, metrics=metrics)
         batcher.start()
         loop = asyncio.get_running_loop()
         pendings = [_pending(e, loop) for e in corpus]
@@ -52,34 +51,41 @@ def test_concurrent_submissions_share_one_batch():
 
     results, snap = _run(main())
     assert all(r.ok for r in results)
-    # Six concurrent submissions and a 50ms window: far fewer batches
-    # than requests (normally exactly 1, but the first window can close
-    # with only the earliest arrivals on a slow machine).
-    assert snap["counters"]["serve.batches"] < len(results)
-    assert snap["histograms"]["serve.batch_size"]["max"] > 1
+    # All six queue before the dispatcher first runs: one window of six.
+    assert snap["counters"]["serve.batches"] == 1
+    assert snap["histograms"]["serve.batch_size"]["max"] == 6
 
 
-def test_max_batch_bounds_window_size():
-    corpus = build_corpus(5, seed=12)
+def test_windows_form_behind_a_running_window():
+    corpus = build_corpus(21, seed=12)
 
     async def main():
         engine = RoutingEngine(EngineConfig(seed=12))
-        metrics = Metrics()
-        batcher = MicroBatcher(
-            engine, max_batch=2, max_wait=10.0, metrics=metrics
-        )
+        gate = RouteGate(engine)
+        batcher = MicroBatcher(engine)
         batcher.start()
         loop = asyncio.get_running_loop()
-        results = await asyncio.gather(*(
-            batcher.submit(_pending(e, loop)) for e in corpus
-        ))
+        first = asyncio.ensure_future(
+            batcher.submit(_pending(corpus[0], loop))
+        )
+        # A lone request dispatches at once; it holds the dispatch thread.
+        assert await loop.run_in_executor(None, gate.entered.wait, 30)
+        rest = [
+            asyncio.ensure_future(batcher.submit(_pending(e, loop)))
+            for e in corpus[1:]
+        ]
+        await asyncio.sleep(0)  # let the other twenty queue
+        queued = batcher._queue.qsize()
+        gate.open()
+        results = await asyncio.gather(first, *rest)
         await batcher.close()
-        return results, metrics.snapshot()
+        return queued, results, gate.sizes
 
-    results, snap = _run(main())
+    queued, results, sizes = _run(main())
+    assert queued == 20
     assert all(r.ok for r in results)
-    assert snap["histograms"]["serve.batch_size"]["max"] <= 2
-    assert snap["counters"]["serve.batches"] >= 3
+    # What queued behind the running window, at most 16 per window.
+    assert sizes == [1, 16, 4]
 
 
 def test_expired_deadline_is_shed_not_routed():
@@ -87,7 +93,7 @@ def test_expired_deadline_is_shed_not_routed():
 
     async def main():
         engine = RoutingEngine(EngineConfig(seed=13))
-        batcher = MicroBatcher(engine, max_batch=4, max_wait=0.01)
+        batcher = MicroBatcher(engine)
         batcher.start()
         loop = asyncio.get_running_loop()
         dead = _pending(corpus[0], loop)
@@ -114,7 +120,7 @@ def test_mixed_parameters_partition_into_groups():
 
     async def main():
         engine = RoutingEngine(EngineConfig(seed=14))
-        batcher = MicroBatcher(engine, max_batch=8, max_wait=0.05)
+        batcher = MicroBatcher(engine)
         batcher.start()
         loop = asyncio.get_running_loop()
         pendings = [
@@ -135,23 +141,32 @@ def test_mixed_parameters_partition_into_groups():
 
 
 def test_close_flushes_queued_work():
-    corpus = build_corpus(3, seed=15)
+    corpus = build_corpus(4, seed=15)
 
     async def main():
         engine = RoutingEngine(EngineConfig(seed=15))
-        batcher = MicroBatcher(engine, max_batch=8, max_wait=5.0)
+        gate = RouteGate(engine)
+        batcher = MicroBatcher(engine)
         batcher.start()
         loop = asyncio.get_running_loop()
-        pendings = [_pending(e, loop) for e in corpus]
-        submits = [
-            asyncio.ensure_future(batcher.submit(p)) for p in pendings
+        submits = [asyncio.ensure_future(
+            batcher.submit(_pending(corpus[0], loop))
+        )]
+        assert await loop.run_in_executor(None, gate.entered.wait, 30)
+        submits += [
+            asyncio.ensure_future(batcher.submit(_pending(e, loop)))
+            for e in corpus[1:]
         ]
-        await asyncio.sleep(0)  # let submissions enqueue
-        await batcher.close()   # must flush, not drop
-        return await asyncio.gather(*submits)
+        await asyncio.sleep(0)  # three requests queue behind the first
+        closing = asyncio.ensure_future(batcher.close())  # must flush
+        await asyncio.sleep(0)
+        gate.open()
+        await closing
+        return await asyncio.gather(*submits), gate.sizes
 
-    results = _run(main())
+    results, sizes = _run(main())
     assert all(r.ok for r in results)
+    assert sizes == [1, 3]
 
 
 def test_submit_after_close_raises():
@@ -176,9 +191,7 @@ def test_service_observer_fed_per_request_times():
 
     async def main():
         engine = RoutingEngine(EngineConfig(seed=17))
-        batcher = MicroBatcher(
-            engine, max_wait=0.02, service_observer=observed.append
-        )
+        batcher = MicroBatcher(engine, service_observer=observed.append)
         batcher.start()
         loop = asyncio.get_running_loop()
         await asyncio.gather(*(
@@ -188,13 +201,3 @@ def test_service_observer_fed_per_request_times():
 
     _run(main())
     assert observed and all(t >= 0 for t in observed)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"max_batch": 0},
-    {"max_wait": -0.1},
-])
-def test_constructor_validation(kwargs):
-    engine = RoutingEngine()
-    with pytest.raises(ValueError):
-        MicroBatcher(engine, **kwargs)

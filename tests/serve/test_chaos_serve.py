@@ -97,7 +97,8 @@ def test_replica_killed_mid_batch_is_digest_transparent():
 
     async def main():
         replicas = ReplicaSet(
-            3, seed=seed, heartbeat_interval=0.2, fault_plan=plan,
+            3, ServeConfig(seed=seed, fault_plan=plan),
+            heartbeat_interval=0.2,
         )
         router = RoutingRouter(
             replicas,
@@ -150,7 +151,7 @@ def test_hung_replica_is_heartbeat_killed_and_replaced():
 
     async def main():
         replicas = ReplicaSet(
-            3, seed=seed, fault_plan=plan,
+            3, ServeConfig(seed=seed, fault_plan=plan),
             heartbeat_interval=0.2, heartbeat_timeout=0.5,
             heartbeat_misses=2,
         )
@@ -195,8 +196,8 @@ def test_crash_looping_replica_is_quarantined_and_routed_around():
 
     async def main():
         replicas = ReplicaSet(
-            2, seed=seed, restart_policy=policy, flap_window_s=60.0,
-            heartbeat_interval=0.1,
+            2, ServeConfig(seed=seed), restart_policy=policy,
+            flap_window_s=60.0, heartbeat_interval=0.1,
         )
         router = RoutingRouter(
             replicas,

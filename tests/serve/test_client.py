@@ -10,6 +10,7 @@ from repro.engine.resilience.retry import RetryPolicy
 from repro.serve import RoutingClient, RoutingServer, ServeConfig, STATUS_OK
 from repro.serve.client import _parse_response
 from repro.serve.loadgen import build_corpus
+from tests.serve.gate import RouteGate
 
 pytestmark = pytest.mark.serve
 
@@ -121,19 +122,22 @@ def test_async_client_pending_fail_on_server_close():
     async def main():
         from repro.serve import AsyncRoutingClient
 
-        server = RoutingServer(ServeConfig(
-            port=0, http_port=0, seed=29, max_wait_ms=200.0, max_batch=64,
-        ))
+        server = RoutingServer(ServeConfig(port=0, http_port=0, seed=29))
+        gate = RouteGate(server.engine)
         await server.start()
         client = AsyncRoutingClient("127.0.0.1", server.port, timeout=10)
         await client.connect()
-        # Drain while a request sits in the batch window; graceful drain
+        # Drain while a request is held in its solve; graceful drain
         # still answers it (flush-don't-drop).
         task = asyncio.ensure_future(
             client.route(channel, conns, max_segments=k)
         )
-        await asyncio.sleep(0.05)
-        await server.drain()
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, gate.entered.wait, 30)
+        drain = asyncio.ensure_future(server.drain())
+        await asyncio.sleep(0)
+        gate.open()
+        await drain
         result = await task
         await client.close()
         return result

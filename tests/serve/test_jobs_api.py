@@ -47,7 +47,7 @@ HEAVY = _payload(seed=11, nets=300, tracks=4, cells_per_row=100, max_rounds=64)
 
 def _config(tmp_path, **overrides):
     defaults = dict(
-        port=0, http_port=0, max_wait_ms=2.0, drain_grace=5.0,
+        port=0, http_port=0, drain_grace=5.0,
         jobs_dir=str(tmp_path / "jobs"),
     )
     defaults.update(overrides)

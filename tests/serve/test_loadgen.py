@@ -13,6 +13,7 @@ from repro.serve.loadgen import (
     render_report,
     run_loadgen,
 )
+from tests.serve.gate import RouteGate
 
 pytestmark = pytest.mark.serve
 
@@ -103,22 +104,26 @@ def test_open_loop_requires_rate():
 
 
 def test_shed_responses_break_the_digest_but_are_counted():
-    with ServerThread(ServeConfig(
+    server = ServerThread(ServeConfig(
         port=0, http_port=0, seed=57, max_queue=2,
-        max_batch=2, max_wait_ms=50.0,
-    )) as st:
+    ))
+    # Two admitted requests hold the queue full until ten are refused.
+    RouteGate(server.server.engine, until=lambda: (
+        server.server.metrics.counter("serve.overloaded") == 10
+    ))
+    with server as st:
         report = run_loadgen(
             "127.0.0.1", st.server.port,
             corpus=build_corpus(12, seed=57),
             requests=12, mode="closed", concurrency=12, seed=57,
         )
-    assert report["completed"] == 12
+    assert report["completed"] + report["shed"] == 12
     assert report["protocol_errors"] == 0
-    if report["shed"]:
-        assert report["digest"] is None
-        assert any(
-            s in report["statuses"] for s in ("shed", "overloaded")
-        )
+    # Refusals are counted, but not as completed (served) requests.
+    assert report["shed"] == 10
+    assert report["completed"] == report["statuses"]["ok"] == 2
+    assert report["digest"] is None
+    assert "2 completed, 10 refused" in render_report(report)
 
 
 def test_empty_corpus_rejected():

@@ -7,6 +7,7 @@ the chaos suite (``test_chaos_serve.py``).
 """
 
 import asyncio
+import os
 import sys
 import time
 
@@ -23,6 +24,7 @@ from repro.serve.replica import (
     ReplicaSet,
     StaticReplicaSet,
 )
+from repro.serve.server import ServeConfig
 
 pytestmark = pytest.mark.serve
 
@@ -57,15 +59,14 @@ def test_static_set_rejects_empty():
 # ----------------------------------------------------------------------
 # supervision state machine (no processes)
 # ----------------------------------------------------------------------
-def _bare_set(**kwargs):
-    defaults = dict(
+def _bare_set(fault_plan=None):
+    return ReplicaSet(
+        2, ServeConfig(seed=3, fault_plan=fault_plan),
         restart_policy=RetryPolicy(
             max_attempts=2, base_delay=0.01, max_delay=0.02, jitter=0.0
         ),
         flap_window_s=60.0,
     )
-    defaults.update(kwargs)
-    return ReplicaSet(2, seed=3, **defaults)
 
 
 def test_failure_schedules_backoff_restart():
@@ -137,11 +138,14 @@ def test_replica_victim_is_seeded_and_in_range():
 
 
 def test_argv_forwards_every_serve_knob():
-    replica_set = ReplicaSet(
-        1, seed=9, timeout=1.5, max_batch=8, max_wait_ms=3.0,
-        max_queue=32, rate=100.0, burst=10.0, drain_grace=1.0,
-    )
-    replica = replica_set._replicas[0]
+    replica_set = ReplicaSet(2, ServeConfig(
+        port=7455, http_port=7456, port_file="front.json",
+        seed=9, timeout=1.5, max_queue=32, rate=100.0, burst=10.0,
+        drain_grace=1.0, cache_dir="shared-cache", jobs_dir="jobs",
+        max_active_jobs=2, max_queued_jobs=5, job_deadline_s=60.0,
+        fault_plan=FaultPlan(kill_replica_after=3, seed=1),
+    ))
+    replica = replica_set._replicas[1]
     replica.port_file = "/tmp/pf.json"
     argv = replica_set._argv(replica)
     text = " ".join(argv)
@@ -151,7 +155,15 @@ def test_argv_forwards_every_serve_knob():
     assert "--seed 9" in text
     assert "--jobs" not in argv  # replicas route in process
     assert "--timeout 1.5" in text and "--rate 100.0" in text
-    assert "--max-batch 8" in text and "--max-queue 32" in text
+    assert "--burst 10.0" in text and "--max-queue 32" in text
+    assert "--drain-grace 1.0" in text
+    # The cache is shared; each replica keeps its own jobs directory.
+    assert "--cache-dir shared-cache" in text
+    assert f"--jobs-dir {os.path.join('jobs', 'replica-1')}" in text
+    assert "--max-active-jobs 2" in text and "--max-queued-jobs 5" in text
+    assert "--job-deadline 60.0" in text
+    # The fault plan is applied by the parent, not the replicas.
+    assert "--inject-faults" not in argv
 
 
 def test_replica_set_validation():
@@ -164,7 +176,9 @@ def test_replica_set_validation():
 # ----------------------------------------------------------------------
 def test_replica_set_launches_and_stops_a_real_server():
     async def main():
-        async with ReplicaSet(1, seed=7, heartbeat_interval=0.2) as replicas:
+        async with ReplicaSet(
+            1, ServeConfig(seed=7), heartbeat_interval=0.2
+        ) as replicas:
             endpoint = replicas.endpoint(0)
             assert endpoint is not None
             assert replicas.live_indices() == [0]
@@ -183,7 +197,7 @@ def test_partial_launch_failure_terminates_started_replicas():
     """One replica failing to launch must not orphan the ones that
     did: start() terminates them before the error propagates."""
     async def main():
-        replicas = ReplicaSet(2, seed=7)
+        replicas = ReplicaSet(2, ServeConfig(seed=7))
         real_argv = replicas._argv
 
         def argv(replica):

@@ -23,12 +23,13 @@ from repro.serve import (
 )
 from repro.io.results import digest_records, result_record
 from repro.serve.loadgen import build_corpus
+from tests.serve.gate import RouteGate
 
 pytestmark = pytest.mark.serve
 
 
 def _config(**overrides):
-    defaults = dict(port=0, http_port=0, max_wait_ms=2.0, drain_grace=5.0)
+    defaults = dict(port=0, http_port=0, drain_grace=5.0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -44,13 +45,21 @@ async def _http_get(port, path):
     return status, body
 
 
+async def _until(predicate, timeout=30.0):
+    """Poll ``predicate`` on the event loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
 def test_fanin_digest_matches_offline_engine():
     """Acceptance: >=50 async fan-in requests, digest-identical offline."""
     corpus = build_corpus(50, seed=42)
     seed = 42
 
     async def main():
-        server = RoutingServer(_config(seed=seed, max_batch=32))
+        server = RoutingServer(_config(seed=seed))
         async with server:
             async with AsyncRoutingClient(
                 "127.0.0.1", server.port, timeout=60
@@ -122,9 +131,11 @@ def test_burst_beyond_queue_bound_sheds_typed_responses():
     corpus = build_corpus(4, seed=9)
 
     async def main():
-        # Tiny queue and a slow window make overflow deterministic.
-        server = RoutingServer(_config(
-            seed=9, max_queue=2, max_batch=2, max_wait_ms=50.0,
+        # A queue of two, held full until 22 requests have been refused,
+        # makes overflow deterministic.
+        server = RoutingServer(_config(seed=9, max_queue=2))
+        RouteGate(server.engine, until=lambda: (
+            server.metrics.counter("serve.overloaded") == 22
         ))
         async with server:
             async with AsyncRoutingClient(
@@ -145,12 +156,12 @@ def test_burst_beyond_queue_bound_sheds_typed_responses():
         r for r in results
         if r.status in (STATUS_SHED, STATUS_OVERLOADED)
     ]
-    assert rejected, f"no typed rejections in {statuses}"
+    assert len(rejected) == 22, f"typed rejections in {statuses}"
     for r in rejected:
         assert r.error_type == "AdmissionRejected"
         assert r.assignment is None
     # The server stayed useful under overload.
-    assert any(r.status == STATUS_OK for r in results)
+    assert sum(r.status == STATUS_OK for r in results) == 2
 
 
 def test_rate_limit_rejects_with_overloaded():
@@ -177,7 +188,7 @@ def test_pipelined_requests_answered_out_of_order_by_id():
     corpus = build_corpus(6, seed=21)
 
     async def main():
-        server = RoutingServer(_config(seed=21, max_batch=3))
+        server = RoutingServer(_config(seed=21))
         async with server:
             async with AsyncRoutingClient(
                 "127.0.0.1", server.port, timeout=30
@@ -264,9 +275,8 @@ def test_drain_finishes_inflight_and_refuses_new_work():
     corpus = build_corpus(8, seed=31)
 
     async def main():
-        server = RoutingServer(_config(
-            seed=31, max_batch=4, max_wait_ms=30.0,
-        ))
+        server = RoutingServer(_config(seed=31))
+        gate = RouteGate(server.engine)
         await server.start()
         client = AsyncRoutingClient("127.0.0.1", server.port, timeout=30)
         await client.connect()
@@ -274,9 +284,13 @@ def test_drain_finishes_inflight_and_refuses_new_work():
             asyncio.ensure_future(client.route(c, s, max_segments=k))
             for c, s, k in corpus
         ]
-        await asyncio.sleep(0)  # let the requests hit the wire
+        # All eight admitted: one window solving behind the gate, the
+        # rest queued behind it.
+        await _until(lambda: server.admission.pending == len(corpus))
         ready_before = (await _http_get(server.http_port, "/readyz"))[0]
         drain = asyncio.ensure_future(server.drain())
+        await asyncio.sleep(0)
+        gate.open()
         results = await asyncio.gather(*inflight, return_exceptions=True)
         await drain
         await client.close()
@@ -284,10 +298,11 @@ def test_drain_finishes_inflight_and_refuses_new_work():
 
     ready_before, results = asyncio.run(main())
     assert ready_before == 200
-    completed = [r for r in results if not isinstance(r, Exception)]
     # Admitted work completes; nothing hangs (gather returned at all).
-    assert completed
-    assert all(r.status == STATUS_OK for r in completed)
+    assert all(
+        not isinstance(r, Exception) and r.status == STATUS_OK
+        for r in results
+    ), results
 
 
 def test_drain_is_idempotent_and_closes_owned_engine():
@@ -315,12 +330,28 @@ def test_external_engine_is_not_closed_by_drain():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_wait_ms": -1.0},
+    {"timeout": 0.0},
     {"drain_grace": -1.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ServeConfig(**kwargs)
+
+
+def test_rejected_setting_starts_no_thread():
+    """A setting the server rejects leaves no job worker running."""
+    import threading
+
+    def job_workers():
+        return {
+            t for t in threading.enumerate()
+            if t.name.startswith("job-worker-")
+        }
+
+    before = job_workers()
+    with pytest.raises(ValueError, match="max_queue"):
+        RoutingServer(ServeConfig(max_queue=0, port=0, http_port=0))
+    assert job_workers() == before
 
 
 def test_readyz_flips_the_instant_drain_is_requested():
@@ -329,24 +360,25 @@ def test_readyz_flips_the_instant_drain_is_requested():
     corpus = build_corpus(4, seed=43)
 
     async def main():
-        server = RoutingServer(_config(seed=43, max_wait_ms=50.0))
+        server = RoutingServer(_config(seed=43))
+        gate = RouteGate(server.engine)
         await server.start()
         client = AsyncRoutingClient("127.0.0.1", server.port, timeout=30)
         await client.connect()
-        # Requests sitting in the batch window when drain is requested.
+        # Requests in flight when drain is requested: one window solving
+        # behind the gate, the rest queued behind it.
         inflight = [
             asyncio.ensure_future(client.route(c, s, max_segments=k))
             for c, s, k in corpus[:3]
         ]
-        # Long enough to be admitted into the open batch window, short
-        # enough (< max_wait_ms) that the batch has not flushed yet.
-        await asyncio.sleep(0.02)
+        await _until(lambda: server.admission.pending == 3)
         server.request_drain()
         # The probe flips immediately — the listener is still accepting
         # (drain has not even started), but load balancers must stop
         # sending new work now.
         ready = await _http_get(server.http_port, "/readyz")
         late = await client.route(*corpus[3][:2], max_segments=corpus[3][2])
+        gate.open()
         results = await asyncio.gather(*inflight, return_exceptions=True)
         await server.drain()
         stats = server.metrics.snapshot()["counters"]
@@ -358,8 +390,10 @@ def test_readyz_flips_the_instant_drain_is_requested():
     assert late.status == STATUS_OVERLOADED
     assert late.error == "server is draining"
     assert stats["serve.drain_refused"] == 1
-    completed = [r for r in results if not isinstance(r, Exception)]
-    assert completed and all(r.status == STATUS_OK for r in completed)
+    assert all(
+        not isinstance(r, Exception) and r.status == STATUS_OK
+        for r in results
+    ), results
 
 
 def test_port_file_written_after_bind(tmp_path):

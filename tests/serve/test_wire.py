@@ -36,7 +36,7 @@ pytestmark = pytest.mark.serve
 
 
 def _config(**overrides):
-    defaults = dict(port=0, http_port=0, max_wait_ms=2.0, drain_grace=5.0)
+    defaults = dict(port=0, http_port=0, drain_grace=5.0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -225,7 +225,7 @@ def test_binary_server_digest_identical_to_offline_and_ndjson():
     seed = 23
 
     async def run(wire):
-        server = RoutingServer(_config(seed=seed, max_batch=16))
+        server = RoutingServer(_config(seed=seed))
         async with server:
             async with AsyncRoutingClient(
                 "127.0.0.1", server.port, timeout=60, wire=wire

@@ -74,7 +74,7 @@ async def _read_message(reader, timeout=10.0):
 
 
 def _config(**overrides):
-    defaults = dict(port=0, http_port=0, max_wait_ms=2.0, drain_grace=5.0)
+    defaults = dict(port=0, http_port=0, drain_grace=5.0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 

@@ -423,6 +423,18 @@ class TestServe:
         assert exc.value.code == 2
         assert "--hedge-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-wait-ms", "5"),
+        ("--max-batch", "8"),
+    ])
+    def test_serve_has_no_batch_window_flags(self, flag, value, capsys):
+        # The batcher takes whatever queued while it was busy: its
+        # window has no timer and no size setting.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, message", [
         (["--drain-grace", "-1"], "drain_grace must be >= 0"),
         (["--job-deadline", "0"], "default_deadline_s must be positive"),
@@ -456,9 +468,9 @@ class TestServe:
         calls = []
 
         class RecordingReplicaSet:
-            def __init__(self, n_replicas, **kwargs):
+            def __init__(self, n_replicas, config):
                 self.n_replicas = n_replicas
-                calls.append(kwargs)
+                calls.append(config)
 
         async def run(self):
             return None
@@ -468,8 +480,14 @@ class TestServe:
         )
         monkeypatch.setattr(RoutingRouter, "run", run)
         assert main(["serve", "--replicas", "2", "--rate", "5",
-                     "--burst", "3", "--max-queue", "7"]) == 0
+                     "--burst", "3", "--max-queue", "7",
+                     "--jobs-dir", "jobs", "--job-deadline", "60",
+                     "--max-active-jobs", "2",
+                     "--max-queued-jobs", "4"]) == 0
         assert len(calls) == 1
-        assert calls[0]["rate"] == 5.0
-        assert calls[0]["burst"] == 3.0
-        assert calls[0]["max_queue"] == 7
+        config = calls[0]
+        assert (config.rate, config.burst, config.max_queue) == (5.0, 3.0, 7)
+        # The chip-job settings reach the replicas too.
+        assert config.jobs_dir == "jobs"
+        assert config.job_deadline_s == 60.0
+        assert (config.max_active_jobs, config.max_queued_jobs) == (2, 4)
