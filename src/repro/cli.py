@@ -10,7 +10,7 @@ Usage (also available as ``python -m repro``)::
                    [--timeout S] [--k K] [--algorithm ALG] [--weight length]
                    [--format text|json] [--stats]
                    [--trace TRACE.jsonl] [--metrics-out STATS.json]
-                   [--checkpoint FILE.jsonl [--resume]] [--watchdog S]
+                   [--checkpoint FILE.jsonl [--resume]]
                    [--inject-faults SPEC]
     segroute stats [STATS.json] [--format text|json|prom]
     segroute render INSTANCE.sch [--routed] [--k K]
@@ -62,7 +62,6 @@ from repro.core.npc import (
     build_unlimited_instance,
     normalize_nmts,
 )
-from repro.core.routing import occupied_length_weight, segment_count_weight
 from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
@@ -214,15 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "only the instances lost to the interruption",
     )
     p_batch.add_argument(
-        "--watchdog", type=float, default=None, metavar="S",
-        help="SIGKILL a worker whose task has run S seconds without "
-             "returning, rebuild the pool, and retry the task",
-    )
-    p_batch.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
         help="chaos-testing only: deterministic fault plan, e.g. "
-             "\"crash=0.1,hang=0.05,seed=7\" (falls back to the "
-             "ENGINE_FAULT_PLAN environment variable)",
+             "\"crash=0.1,hang=0.05,seed=7\"; worker faults need a pool "
+             "(--jobs above 1) (falls back to the ENGINE_FAULT_PLAN "
+             "environment variable)",
     )
     p_batch.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -574,47 +569,29 @@ def _cmd_route(args: argparse.Namespace) -> int:
     channel, conns = _load(args.instance)
     if args.generalized:
         return _route_generalized(channel, conns, args)
-    weight = None
-    if args.weight == "length":
-        weight = occupied_length_weight(channel)
-    elif args.weight == "segments":
-        weight = segment_count_weight(channel)
-    engine = None
-    if (
-        args.timeout is not None or args.stats or args.trace
-        or args.metrics_out or args.cache_dir
-    ):
-        # Engine path: deadline enforcement, persistent caching, and/or
-        # observability (tracing and metrics export).
-        from repro.engine import EngineConfig, RoutingEngine
+    from repro.engine import EngineConfig, RoutingEngine
+    from repro.engine.executor import resolve_weight
 
-        sink = _trace_sink(args)
-        try:
-            engine = RoutingEngine(
-                EngineConfig(cache_dir=args.cache_dir), trace_sink=sink
-            )
+    weight = None if args.weight == "none" else args.weight
+    sink = _trace_sink(args)
+    try:
+        with RoutingEngine(
+            EngineConfig(cache_dir=args.cache_dir), trace_sink=sink
+        ) as engine:
             routing = engine.route(
-                channel, conns, max_segments=args.k,
-                weight=None if args.weight == "none" else args.weight,
+                channel, conns, max_segments=args.k, weight=weight,
                 algorithm=args.algorithm, timeout=args.timeout,
             )
-        finally:
-            if engine is not None:
-                engine.close()
-            if sink is not None:
-                sink.close()
-        _write_metrics(engine, args)
-    else:
-        routing = route(
-            channel, conns, max_segments=args.k, weight=weight,
-            algorithm=args.algorithm,
-        )
+    finally:
+        if sink is not None:
+            sink.close()
+    _write_metrics(engine, args)
     if args.out_format == "csv":
         sys.stdout.write(routing_to_csv(routing))
     elif args.out_format == "json":
         sys.stdout.write(routing_to_json(routing) + "\n")
     else:
-        sys.stdout.write(routing_report(routing, weight))
+        sys.stdout.write(routing_report(routing, resolve_weight(weight, channel)))
     if args.stats:
         sys.stdout.write(engine.render_stats())
     return 0
@@ -671,18 +648,30 @@ def _load_batch_specs(args: argparse.Namespace) -> list[tuple[str, Optional[int]
     return specs
 
 
-def _fault_plan(args: argparse.Namespace):
-    """Resolve the fault plan from ``--inject-faults`` / ``ENGINE_FAULT_PLAN``."""
+def _fault_plan(args: argparse.Namespace, in_process: bool = False):
+    """Resolve the fault plan from ``--inject-faults`` / ``ENGINE_FAULT_PLAN``.
+
+    ``in_process`` marks a command whose every solve runs in process:
+    its plan may not ask for pool-worker faults, which would never fire.
+    """
     import os
 
     from repro.engine.resilience import FaultPlan
 
     spec = args.inject_faults or os.environ.get("ENGINE_FAULT_PLAN")
-    return FaultPlan.parse(spec) if spec else None
+    plan = FaultPlan.parse(spec) if spec else None
+    if in_process and plan is not None:
+        keys = [k for k in ("crash", "hang", "garbage") if getattr(plan, k)]
+        if keys:
+            raise ReproError(
+                f"fault plan sets pool-worker faults ({', '.join(keys)}), "
+                f"but every solve here runs in process"
+            )
+    return plan
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.engine import EngineConfig, RoutingEngine
+    from repro.engine import EngineConfig, RoutingEngine, default_jobs
     from repro.engine.resilience import CheckpointJournal
     from repro.io.results import batch_report, batch_to_json
 
@@ -690,12 +679,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ReproError(f"--jobs must be >= 0, got {args.jobs}")
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint")
+    plan = _fault_plan(args, in_process=(args.jobs or default_jobs()) == 1)
     specs = _load_batch_specs(args)
     instances = [_load(spec) for spec, _ in specs]
     sink = _trace_sink(args)
     engine = RoutingEngine(EngineConfig(
-        jobs=args.jobs, watchdog=args.watchdog, fault_plan=_fault_plan(args),
-        cache_dir=args.cache_dir,
+        jobs=args.jobs, fault_plan=plan, cache_dir=args.cache_dir,
     ), trace_sink=sink)
     journal = None
     if args.checkpoint:
@@ -1031,7 +1020,7 @@ def _serve_front(args: argparse.Namespace, sink):
     """The single server, or with ``--replicas N`` the router, to run."""
     from repro.serve import RoutingServer, ServeConfig
 
-    plan = _fault_plan(args)
+    plan = _fault_plan(args, in_process=True)  # servers never fork solvers
     config = ServeConfig(
         host=args.host, port=args.port, http_port=args.http_port,
         timeout=args.timeout, max_queue=args.max_queue,

@@ -106,8 +106,8 @@ class WorkerCrashError(EngineError):
     """A worker process died before delivering a result.
 
     Covers genuine crashes (segfault, OOM kill, ``os._exit``) and workers
-    killed by the hang watchdog.  Retryable by default: the crash says
-    nothing about the instance, only about the worker.
+    killed as hung past their task's deadline.  Retryable by default: the
+    crash says nothing about the instance, only about the worker.
     """
 
 

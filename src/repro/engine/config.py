@@ -47,7 +47,9 @@ class EngineConfig:
         Per-request deadline in seconds, or ``None`` for no deadline.
         With a deadline, each algorithm attempt gets a share of the
         budget, which the solvers check cooperatively at their natural
-        boundaries (see :mod:`repro.substrate.deadline`).
+        boundaries (see :mod:`repro.substrate.deadline`).  It is the
+        one bound on a solve: on a pool, a worker still running a task
+        a grace second past its deadline is SIGKILLed as hung.
     ladder:
         Degradation sequence tried after the primary algorithm times
         out.  Each rung gets the *remaining* budget; when the last rung
@@ -70,19 +72,15 @@ class EngineConfig:
         are derived via :func:`repro.substrate.prng.derive_seed` so
         results are bit-identical regardless of ``jobs`` or scheduling.
     retry:
-        :class:`~repro.engine.resilience.RetryPolicy` governing retry
-        with backoff for transient failures (worker crashes, corrupt
-        results) and poison-task quarantine.
-    watchdog:
-        Seconds a *started* task may run without its worker returning
-        before the worker is declared hung and SIGKILLed (the pool is
-        rebuilt and the task retried).  ``None`` disables hang
-        detection; set it comfortably above the slowest legitimate
-        solve, and above ``timeout`` when one is configured.
+        :class:`~repro.engine.resilience.RetryPolicy` governing a pool's
+        retry with backoff for transient failures (worker crashes, hung
+        workers killed past their deadline, corrupt results) and
+        poison-task quarantine.  In process each request runs once.
     fault_plan:
         Optional :class:`~repro.engine.resilience.FaultPlan` injecting
-        deterministic worker crashes/hangs/corruption — the chaos-test
-        hook, never set in production.
+        deterministic pool-worker crashes/hangs/corruption and the
+        engine-side ``kill_after_checkpoints`` — the chaos-test hook,
+        never set in production.
     """
 
     jobs: int = 1
@@ -93,7 +91,6 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     seed: int = 0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -105,8 +102,6 @@ class EngineConfig:
             raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.cache_dir is not None and not self.cache:
             raise ValueError("cache_dir requires cache=True")
-        if self.watchdog is not None and self.watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {self.watchdog}")
         for rung in self.ladder:
             if rung not in ALGORITHMS:
                 raise ValueError(

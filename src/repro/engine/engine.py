@@ -358,9 +358,11 @@ class RoutingEngine:
 
         Failed requests do not raise: each :class:`BatchResult` carries
         either a validated routing or a typed error name + message, so
-        one adversarial instance cannot sink the batch.  Worker crashes
-        and corrupt results are retried (then quarantined) under the
-        config's :class:`~repro.engine.resilience.RetryPolicy`.
+        one adversarial instance cannot sink the batch.  On a pool
+        (``jobs > 1``), worker crashes and corrupt results are retried
+        (then quarantined) under the config's
+        :class:`~repro.engine.resilience.RetryPolicy`; in process each
+        request runs once.
         """
         self._ensure_open()
         pairs = list(instances)
@@ -463,20 +465,17 @@ class RoutingEngine:
         self, tasks: list[RouteTask], jobs: int
     ) -> Iterator[TaskOutcome]:
         """Run tasks under the resilience layer, yielding as they finish:
-        in process, or on a supervised pool that lives for this call."""
+        once each in process, or on a supervised pool that lives for
+        this call."""
         if not tasks:
             return
-        config = self.config
         if jobs == 1 or len(tasks) == 1:
-            yield from run_sequential(
-                tasks, seed=config.seed, policy=config.retry,
-                fault_plan=config.fault_plan, metrics=self.metrics,
-            )
+            yield from run_sequential(tasks)
             return
+        config = self.config
         supervisor = SupervisedExecutor(
             min(jobs, len(tasks)), seed=config.seed, policy=config.retry,
-            fault_plan=config.fault_plan, watchdog=config.watchdog,
-            metrics=self.metrics,
+            fault_plan=config.fault_plan, metrics=self.metrics,
         )
         yield from supervisor.run(tasks)
 
@@ -785,8 +784,7 @@ _default_engine: Optional[RoutingEngine] = None
 def default_engine() -> RoutingEngine:
     """The process-wide default engine (created on first use).
 
-    An :mod:`atexit` hook closes it at interpreter shutdown, so worker
-    pools never outlive the process by accident; call
+    An :mod:`atexit` hook closes it at interpreter shutdown; call
     :func:`close_default_engine` to release it earlier.
     """
     global _default_engine

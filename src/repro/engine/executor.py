@@ -200,12 +200,12 @@ def attempt_route(
     Returns ``(assignment, dp_nodes_pruned)``.  With a timeout the solve
     raises :class:`EngineTimeout` at its first deadline check past the
     budget; without one it runs unbounded (within any deadline the
-    calling thread already carries).  A timed attempt re-raises any
-    other exception (e.g. a ``RecursionError`` from deep backtracking)
-    as ``ReproError("<Type>: <message>")``, so it fails this request
-    alone rather than the batch it runs in.  With a collector the
-    attempt records a ``solve`` span under ``parent_id``, with the DP
-    kernel spans beneath it.
+    calling thread already carries).  Any other exception (e.g. a
+    ``RecursionError`` from deep backtracking) is re-raised as
+    ``ReproError("<Type>: <message>")``, timed or not, so it fails this
+    request alone rather than the batch it runs in.  With a collector
+    the attempt records a ``solve`` span under ``parent_id``, with the
+    DP kernel spans beneath it.
     """
     if timeout is not None and timeout <= 0:
         raise EngineTimeout(f"no budget left for algorithm {algorithm!r}")
@@ -219,7 +219,7 @@ def attempt_route(
                 return _solve(channel, connections, max_segments,
                               weight_spec, algorithm, collector, span.span_id)
         except Exception as exc:
-            if timeout is None or isinstance(exc, ReproError):
+            if isinstance(exc, ReproError):
                 raise
             raise ReproError(f"{type(exc).__name__}: {exc}") from exc
 

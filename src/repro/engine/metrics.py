@@ -10,7 +10,8 @@ counters
     ``fallbacks``, ``errors``, ``dp_nodes_pruned`` (frontiers dropped by the DP kernel's
     dominance pruning — see ``docs/PERFORMANCE.md``), plus the
     resilience layer's ``retries_total``, ``tasks_quarantined``,
-    ``worker_crashes``, ``workers_killed`` (hang-watchdog SIGKILLs),
+    ``worker_crashes``, ``workers_killed`` (pool workers SIGKILLed as
+    hung past their task's deadline),
     ``pool_rebuilds``, ``checkpoint_records_written``, and
     ``checkpoint_records_skipped``.
 histograms

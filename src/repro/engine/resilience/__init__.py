@@ -9,10 +9,12 @@ Four cooperating pieces (see ``docs/RESILIENCE.md``):
   journal of completed batch results enabling ``--checkpoint`` /
   ``--resume`` runs that re-run only lost work;
 * :mod:`.supervisor` — :class:`SupervisedExecutor`: heartbeat-tracked
-  worker pool with a hang watchdog, ``BrokenProcessPool`` recovery, and
-  per-task retry/quarantine ledgers;
+  worker pool that SIGKILLs a worker hung past its task's deadline,
+  recovers from ``BrokenProcessPool``, and keeps per-task
+  retry/quarantine ledgers; :func:`run_sequential` runs each task once
+  in process;
 * :mod:`.faults` — :class:`FaultPlan`: seeded, fully deterministic
-  fault injection (worker crash / hang / garbage result) behind
+  fault injection (pool-worker crash / hang / garbage result) behind
   ``ENGINE_FAULT_PLAN`` / ``--inject-faults``, used by the chaos suite.
 """
 
@@ -26,7 +28,6 @@ from repro.engine.resilience.retry import (
 from repro.engine.resilience.supervisor import (
     SupervisedExecutor,
     run_sequential,
-    run_task_resilient,
 )
 
 __all__ = [
@@ -39,5 +40,4 @@ __all__ = [
     "corrupt_assignment",
     "SupervisedExecutor",
     "run_sequential",
-    "run_task_resilient",
 ]

@@ -2,11 +2,14 @@
 
 A :class:`FaultPlan` makes the engine's failure handling *testable*: it
 decides, as a pure function of ``(seed, task_key, attempt)``, whether a
-given task attempt should crash its worker (``os._exit``), hang it
-(sleep past the watchdog), or corrupt its result (an out-of-range track
-assignment that can never validate).  Because the decision stream is
-seeded, a chaos test can assert bit-identical results against a
-fault-free run, and a failure found under injection replays exactly.
+given task attempt should crash its pool worker (``os._exit``), hang it
+(sleep past the task's deadline until the supervisor kills it), or
+corrupt its result (an out-of-range track assignment that can never
+validate).  Because the decision stream is seeded, a chaos test can
+assert bit-identical results against a fault-free run, and a failure
+found under injection replays exactly.  These three fire only in pool
+workers (``jobs > 1``): an engine solving in process ignores them, and
+the CLI refuses them where every solve runs in process.
 
 Plans are written as compact ``key=value`` spec strings so they can ride
 an environment variable (``ENGINE_FAULT_PLAN``) or CLI flag
@@ -62,8 +65,10 @@ class FaultPlan:
     Rates are independent draws per attempt, so a task whose first
     attempt crashes usually succeeds on retry — which is exactly the
     failure mode the retry layer exists for.  ``hang_seconds`` is how
-    long an injected hang sleeps; set it well past the watchdog so hung
-    workers are detected and killed rather than finishing late.
+    long an injected hang sleeps; set it well past the task's
+    ``timeout`` (plus the supervisor's one-second grace) so hung
+    workers are killed rather than finishing late.  An untimed task
+    is never killed: its hang just finishes late.
     """
 
     crash: float = 0.0

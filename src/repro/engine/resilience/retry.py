@@ -1,14 +1,14 @@
 """Retry policy: bounded attempts, exponential backoff, deterministic jitter.
 
-A :class:`RetryPolicy` describes *when* the engine re-runs a failed task
-and *how long* it waits before doing so.  Two budgets are tracked
-independently per task:
+A :class:`RetryPolicy` describes *when* the engine's worker pool re-runs
+a failed task and *how long* it waits before doing so (in process each
+task runs once).  Two budgets are tracked independently per task:
 
 * ``max_attempts`` bounds attempts that fail with a **retryable error**
   (a worker returned, but with a transient-looking failure such as a
   corrupt result);
 * ``max_worker_crashes`` bounds **worker crashes** (the worker died, was
-  OOM-killed, or was killed by the hang watchdog before returning).
+  OOM-killed, or was killed as hung past its task's deadline).
   Beyond it the task is *quarantined* — permanently failed with
   :class:`~repro.core.errors.TaskQuarantinedError` — so a poison task
   cannot wedge the pool in a crash/rebuild loop.
@@ -43,7 +43,7 @@ DEFAULT_RETRYABLE = (
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/quarantine knobs for one engine.
+    """Retry/backoff/quarantine knobs for one engine's worker pool.
 
     Attributes
     ----------
@@ -51,8 +51,8 @@ class RetryPolicy:
         Total attempts allowed per task for retryable *error* outcomes
         (1 = never retry errors).
     max_worker_crashes:
-        Worker crashes (or watchdog kills) tolerated per task before it
-        is quarantined.
+        Worker crashes (or kills of a worker hung past its task's
+        deadline) tolerated per task before it is quarantined.
     base_delay / multiplier / max_delay:
         Exponential backoff: attempt ``n`` waits
         ``min(base_delay * multiplier**(n-1), max_delay)`` seconds

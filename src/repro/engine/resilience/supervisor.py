@@ -1,4 +1,4 @@
-"""Worker supervision: heartbeats, hang watchdog, pool rebuild, retries.
+"""Worker supervision: heartbeats, hang detection, pool rebuild, retries.
 
 This module is the fault-tolerant replacement for the engine's plain
 ``pool.map`` execution.  Two entry points:
@@ -9,8 +9,10 @@ This module is the fault-tolerant replacement for the engine's plain
   moment they pick a task up.  The supervisor loop drains heartbeats on
   every tick, so it knows *which pid runs which task*:
 
-  - a worker silent past the ``watchdog`` deadline after starting a task
-    is **hung** (not merely queued) and is SIGKILLed;
+  - a worker still running a started task more than ``_HANG_GRACE``
+    seconds past the task's own ``timeout`` is **hung** (its solve
+    stopped checking its deadline) and is SIGKILLed; an untimed task is
+    never killed, and a task still queued is not started;
   - a dead worker breaks the pool (``BrokenProcessPool``); the
     supervisor rebuilds it and re-submits every incomplete task — tasks
     that never reached a worker are re-queued free of charge, while the
@@ -19,19 +21,19 @@ This module is the fault-tolerant replacement for the engine's plain
     ``RetryPolicy.max_worker_crashes`` (see :mod:`.retry`) instead of
     cycling the pool forever.
 
-* :func:`run_task_resilient` — the sequential path (``jobs == 1``, which
-  single-request routing always takes).  The same retry/quarantine
-  ledger applies; injected crashes and hangs are simulated as
-  :class:`~repro.core.errors.WorkerCrashError` outcomes since there is
-  no separate worker to kill.
+* :func:`run_sequential` — the in-process path (``jobs == 1``, which
+  single-request routing and every server solve take).  Each task runs
+  once: ``run_task`` re-seeds identically on every attempt, so a retry
+  in the same process could only repeat the answer.  Injected worker
+  faults (crash, hang, garbage) fire only in pool workers.
 
 Every successful outcome is re-validated here, *before* the engine sees
-it — a worker returning garbage (fault injection, memory corruption) is
-indistinguishable from a transient failure and is retried, and the
-engine installs what passes without checking it again.  Because
-``run_task`` re-seeds from ``derive_seed(seed, task_key)`` on every
-attempt, a retried task reproduces the original result bit-for-bit, so
-batches complete identically with or without faults.
+it.  On the pool path a worker returning garbage (fault injection,
+memory corruption) is indistinguishable from a transient failure and is
+retried, and the engine installs what passes without checking it again.
+Because ``run_task`` re-seeds from ``derive_seed(seed, task_key)`` on
+every attempt, a retried task reproduces the original result
+bit-for-bit, so batches complete identically with or without faults.
 """
 
 from __future__ import annotations
@@ -58,10 +60,17 @@ from repro.engine.resilience.faults import FaultPlan, corrupt_assignment
 from repro.engine.resilience.retry import RetryPolicy, backoff_delay
 from repro.obs.trace import completed_span
 
-__all__ = ["SupervisedExecutor", "run_task_resilient", "run_sequential"]
+__all__ = ["SupervisedExecutor", "run_sequential"]
 
-#: Supervisor tick: heartbeat drain + watchdog check cadence (seconds).
+#: Supervisor tick: heartbeat drain + hang check cadence (seconds).
 _POLL_INTERVAL = 0.05
+
+#: Seconds a started task may run past its own ``timeout`` before its
+#: worker is declared hung and SIGKILLed.  The solvers' cooperative
+#: deadline checks overrun by about 11 ms at most (``deadline_overrun``
+#: in ``BENCH_engine.json``) and heartbeats are drained every
+#: ``_POLL_INTERVAL``, so a healthy worker never comes near it.
+_HANG_GRACE = 1.0
 
 #: Exit code used by injected worker crashes (simulating an OOM kill).
 _CRASH_EXIT = 66
@@ -124,7 +133,7 @@ class _TaskState:
     task: RouteTask
     tries: int = 0      # submissions so far (fault/jitter stream position)
     failures: int = 0   # retryable error outcomes so far
-    crashes: int = 0    # worker crashes / watchdog kills so far
+    crashes: int = 0    # worker crashes / hang kills so far
     began: bool = False  # current submission reached a worker
     pool: Optional[ProcessPoolExecutor] = None  # current submission's pool
     spans: list = field(default_factory=list)  # spans from superseded attempts
@@ -181,80 +190,12 @@ def _quarantine_outcome(task: RouteTask, crashes: int, limit: int) -> TaskOutcom
 
 
 # ----------------------------------------------------------------------
-# sequential path
+# in-process path
 # ----------------------------------------------------------------------
-def run_task_resilient(
-    task: RouteTask,
-    *,
-    seed: int = 0,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    metrics: Optional[Metrics] = None,
-) -> TaskOutcome:
-    """Run one task in-process with the full retry/quarantine ledger."""
-    policy = policy or RetryPolicy()
-    key = task.task_key or str(task.index)
-    state = _TaskState(task=task)
-    while True:
-        state.tries += 1
-        fault = fault_plan.decide(key, state.tries) if fault_plan else None
-        if fault in ("crash", "hang"):
-            # No separate worker to kill in-process; both surface as a
-            # crash-shaped, retryable outcome.
-            outcome = TaskOutcome(
-                index=task.index,
-                error_type="WorkerCrashError",
-                error=f"injected {fault} (simulated in-process)",
-            )
-            crashed = True
-        else:
-            outcome = run_task(task, attempt=state.tries)
-            if fault == "garbage" and outcome.ok:
-                outcome.assignment = corrupt_assignment(
-                    outcome.assignment, task.channel.n_tracks
-                )
-            outcome = _validated(task, outcome)
-            crashed = outcome.error_type == "WorkerCrashError"
-        if outcome.ok:
-            return _finalize_spans(state, outcome)
-        if crashed:
-            state.crashes += 1
-            if state.crashes >= policy.max_worker_crashes:
-                if metrics is not None:
-                    metrics.incr("tasks_quarantined")
-                return _finalize_spans(state, _quarantine_outcome(
-                    task, state.crashes, policy.max_worker_crashes
-                ))
-        elif policy.is_retryable(outcome.error_type):
-            state.failures += 1
-            if state.failures >= policy.max_attempts:
-                return _finalize_spans(state, outcome)
-        else:
-            return _finalize_spans(state, outcome)
-        if task.trace_id:
-            state.spans.extend(outcome.spans)
-            state.spans.append(_retry_span(
-                task, state.tries, outcome.error_type or "unknown"
-            ))
-        if metrics is not None:
-            metrics.incr("retries_total")
-        time.sleep(backoff_delay(policy, state.tries, seed, key))
-
-
-def run_sequential(
-    tasks: Iterable[RouteTask],
-    *,
-    seed: int = 0,
-    policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    metrics: Optional[Metrics] = None,
-) -> Iterator[TaskOutcome]:
-    """Sequential in-process execution with retries, yielding as done."""
+def run_sequential(tasks: Iterable[RouteTask]) -> Iterator[TaskOutcome]:
+    """Run each task once in process, re-validated, yielding as done."""
     for task in tasks:
-        yield run_task_resilient(
-            task, seed=seed, policy=policy, fault_plan=fault_plan,
-            metrics=metrics,
-        )
+        yield _validated(task, run_task(task))
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +220,6 @@ class SupervisedExecutor:
         seed: int = 0,
         policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        watchdog: Optional[float] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
         if jobs < 1:
@@ -288,7 +228,6 @@ class SupervisedExecutor:
         self.seed = seed
         self.policy = policy or RetryPolicy()
         self.fault_plan = fault_plan
-        self.watchdog = watchdog
         self.metrics = metrics
         self._ctx = _mp_context()
         self._heartbeats = None  # the current pool's; see _ensure_pool
@@ -420,18 +359,18 @@ class SupervisedExecutor:
         states: dict[int, _TaskState],
         started: dict[int, tuple[int, float]],
     ) -> None:
-        """SIGKILL workers whose current task outlived the watchdog.
+        """SIGKILL workers whose task outlived its deadline by ``_HANG_GRACE``.
 
-        Only *started* tasks are eligible — a task still queued behind a
-        busy pool is slow scheduling, not a hang.  The kill breaks the
-        pool; the broken-future handling then charges the task a crash
-        and rebuilds.
+        Only *started*, timed tasks are eligible — a task still queued
+        behind a busy pool is slow scheduling, not a hang, and an untimed
+        task has no bound to outlive.  The kill breaks the pool; the
+        broken-future handling then charges the task a crash and
+        rebuilds.
         """
-        if self.watchdog is None:
-            return
         now = time.monotonic()
         for index, (pid, t0) in list(started.items()):
-            if now - t0 <= self.watchdog:
+            timeout = states[index].task.timeout
+            if timeout is None or now - t0 <= timeout + _HANG_GRACE:
                 continue
             started.pop(index)
             self._incr("workers_killed")

@@ -37,6 +37,17 @@ def identical_small():
     return identical_channel(3, 12, (4, 8))
 
 
+@pytest.fixture
+def deep_exact_instance():
+    """1,200 unit connections on two unit-segmented tracks: the exact
+    search recurses past Python's recursion limit (``RecursionError``)
+    within milliseconds."""
+    channel = uniform_channel(2, 2402, 1)
+    return channel, ConnectionSet(
+        [Connection(2 * i + 1, 2 * i + 1) for i in range(1200)]
+    )
+
+
 def all_small_instances(n_columns=6, n_tracks=2, breaks_options=None, max_m=3):
     """Enumerate small (channel, connections) instances for oracle tests.
 

@@ -41,6 +41,11 @@ CHAOS_RETRY = RetryPolicy(
     max_attempts=10, max_worker_crashes=12, base_delay=0.01, max_delay=0.05
 )
 
+#: Deadline of the hang scenarios: a hung worker is killed a grace
+#: second past it, while every healthy solve here finishes in
+#: milliseconds, far inside the primary algorithm's share.
+HANG_TIMEOUT = 1.0
+
 
 def chaos_corpus(n=50):
     """``n`` mixed feasible instances spanning channel shapes."""
@@ -102,7 +107,7 @@ def test_bit_identical_results_under_heavy_faults():
     digest = result_stream_digest(baseline)
 
     engine = RoutingEngine(EngineConfig(
-        jobs=2, retry=CHAOS_RETRY, fault_plan=plan, watchdog=0.8,
+        jobs=2, retry=CHAOS_RETRY, fault_plan=plan, timeout=HANG_TIMEOUT,
     ))
     results = engine.route_many(instances, max_segments=2)
 
@@ -120,7 +125,8 @@ def test_bit_identical_results_under_heavy_faults():
 
 @needs_fork
 def test_hung_workers_are_detected_and_killed():
-    """A hang is not a slow task: the watchdog must SIGKILL the worker."""
+    """A hang is not a slow task: a worker still running a grace second
+    past its task's deadline must be SIGKILLed."""
     instances = chaos_corpus(8)
     keys = task_keys(instances)
 
@@ -138,12 +144,12 @@ def test_hung_workers_are_detected_and_killed():
         instances, max_segments=2
     )
     engine = RoutingEngine(EngineConfig(
-        jobs=2, retry=CHAOS_RETRY, fault_plan=plan, watchdog=0.8,
+        jobs=2, retry=CHAOS_RETRY, fault_plan=plan, timeout=HANG_TIMEOUT,
     ))
     results = engine.route_many(instances, max_segments=2)
     assert all(r.ok for r in results)
     assert result_stream_digest(results) == result_stream_digest(baseline)
-    # Hung workers were killed by the watchdog, not waited out (the
+    # Hung workers were killed past their deadline, not waited out (the
     # injected hang sleeps 30s; the whole batch finishes in a few).
     assert engine.metrics.counter("workers_killed") > 0
     assert engine.metrics.counter("pool_rebuilds") > 0
@@ -247,21 +253,3 @@ class TestCheckpointResumeAcrossSigkill:
             again.stdout,
         )
         assert "checkpoint_records_written" not in again.stdout
-
-
-# ----------------------------------------------------------------------
-# sequential chaos (no pool): same guarantees, simulated faults
-# ----------------------------------------------------------------------
-def test_sequential_chaos_bit_identical():
-    instances = chaos_corpus(50)
-    baseline = RoutingEngine(EngineConfig(jobs=1)).route_many(
-        instances, max_segments=2
-    )
-    engine = RoutingEngine(EngineConfig(
-        jobs=1, retry=CHAOS_RETRY,
-        fault_plan=FaultPlan(crash=0.15, hang=0.07, garbage=0.06, seed=21),
-    ))
-    results = engine.route_many(instances, max_segments=2)
-    assert all(r.ok for r in results)
-    assert result_stream_digest(results) == result_stream_digest(baseline)
-    assert engine.metrics.counter("retries_total") > 0

@@ -292,6 +292,18 @@ class TestDeadlines:
         assert results[1].error.startswith("RecursionError: ")
         assert all(r.ok for i, r in enumerate(results) if i != 1)
 
+    def test_untimed_solver_crash_fails_only_its_request(
+        self, deep_exact_instance
+    ):
+        # Without a deadline too: a default server routes untimed.
+        results = RoutingEngine().route_many(
+            [(fig3_channel(), fig3_connections()), deep_exact_instance],
+            algorithm="exact", jobs=1,
+        )
+        assert results[0].ok
+        assert results[1].error_type == "ReproError"
+        assert results[1].error.startswith("RecursionError: ")
+
     def test_batch_timeout_reports_not_raises(self):
         channel, conns = adversarial_instance()
         engine = RoutingEngine()

@@ -1,5 +1,5 @@
 """Resilience layer: retry policy, fault plans, checkpoint journal,
-sequential fault recovery, supervised pool recovery, manifest errors.
+in-process runs, supervised pool recovery, manifest errors.
 
 Fast deterministic coverage for tier-1; the heavyweight end-to-end
 chaos scenarios (high fault rates over a large corpus, SIGKILLed CLI
@@ -8,6 +8,7 @@ runs) live in ``test_chaos.py`` behind the ``chaos`` marker.
 
 import argparse
 import multiprocessing
+import time
 
 import pytest
 
@@ -297,72 +298,20 @@ class TestCheckpointedBatch:
 
 
 # ----------------------------------------------------------------------
-# sequential fault recovery (jobs=1: no pool, faults simulated in-process)
+# in-process runs (jobs=1: each task runs once, no worker to fault)
 # ----------------------------------------------------------------------
-class TestSequentialFaultRecovery:
-    def test_crash_injection_recovers_bit_identically(self):
-        instances = small_corpus()
-        baseline = RoutingEngine(EngineConfig(jobs=1)).route_many(
-            instances, max_segments=2
-        )
-        engine = RoutingEngine(EngineConfig(
-            jobs=1, retry=FAST_RETRY, fault_plan=FaultPlan(crash=0.3, seed=5),
-        ))
-        results = engine.route_many(instances, max_segments=2)
-        assert all(r.ok for r in results)
-        assert result_stream_digest(results) == result_stream_digest(baseline)
-        assert engine.metrics.counter("retries_total") > 0
-
-    def test_garbage_injection_is_caught_and_retried(self):
-        instances = small_corpus(4)
-        baseline = RoutingEngine(EngineConfig(jobs=1)).route_many(
-            instances, max_segments=2
-        )
-        engine = RoutingEngine(EngineConfig(
-            jobs=1, retry=FAST_RETRY,
-            fault_plan=FaultPlan(garbage=0.4, seed=2),
-        ))
-        results = engine.route_many(instances, max_segments=2)
-        # Every surviving routing validated; corrupt ones were retried.
-        assert all(r.ok for r in results)
-        assert result_stream_digest(results) == result_stream_digest(baseline)
-
-    def test_poison_task_quarantined_and_batch_continues(self):
-        instances = small_corpus(3)
-        engine = RoutingEngine(EngineConfig(
-            jobs=1,
-            retry=RetryPolicy(max_attempts=3, max_worker_crashes=2,
-                              base_delay=0.001, max_delay=0.002),
-            fault_plan=FaultPlan(crash=1.0, seed=0),  # every attempt crashes
-        ))
-        results = engine.route_many(instances, max_segments=2)
-        assert len(results) == len(instances)
-        assert all(
-            r.error_type == TaskQuarantinedError.__name__ for r in results
-        )
-        assert engine.metrics.counter("tasks_quarantined") == len(instances)
-
-    def test_quarantine_raises_typed_error_on_single_route(self):
-        channel, conns = small_corpus(1)[0]
-        engine = RoutingEngine(EngineConfig(
-            jobs=1,
-            retry=RetryPolicy(max_attempts=2, max_worker_crashes=2,
-                              base_delay=0.001, max_delay=0.002),
-            fault_plan=FaultPlan(crash=1.0, seed=0),
-        ))
-        with pytest.raises(TaskQuarantinedError, match="poison task"):
-            engine.route(channel, conns, max_segments=2)
-
-    def test_permanent_garbage_surfaces_validation_error(self):
-        channel, conns = small_corpus(1)[0]
-        engine = RoutingEngine(EngineConfig(
-            jobs=1,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.001,
-                              max_delay=0.002),
-            fault_plan=FaultPlan(garbage=1.0, seed=0),
-        ))
-        results = engine.route_many([(channel, conns)], max_segments=2)
-        assert results[0].error_type == ValidationError.__name__
+def test_in_process_engine_ignores_worker_faults():
+    instances = small_corpus()
+    baseline = RoutingEngine(EngineConfig(jobs=1)).route_many(
+        instances, max_segments=2
+    )
+    engine = RoutingEngine(EngineConfig(
+        jobs=1, fault_plan=FaultPlan(crash=1.0, seed=0),
+    ))
+    results = engine.route_many(instances, max_segments=2)
+    assert all(r.ok for r in results)
+    assert result_stream_digest(results) == result_stream_digest(baseline)
+    assert engine.metrics.counter("retries_total") == 0
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +340,69 @@ class TestSupervisedPool:
         assert result_stream_digest(results) == result_stream_digest(baseline)
         assert engine.metrics.counter("worker_crashes") > 0
         assert engine.metrics.counter("pool_rebuilds") > 0
+
+    def test_poison_task_quarantined_and_batch_continues(self):
+        instances = small_corpus(3)
+        engine = RoutingEngine(EngineConfig(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=3, max_worker_crashes=2,
+                              base_delay=0.001, max_delay=0.002),
+            fault_plan=FaultPlan(crash=1.0, seed=0),  # every attempt crashes
+        ))
+        results = engine.route_many(instances, max_segments=2)
+        assert len(results) == len(instances)
+        assert all(
+            r.error_type == TaskQuarantinedError.__name__ for r in results
+        )
+        assert engine.metrics.counter("tasks_quarantined") == len(instances)
+
+    def test_permanent_garbage_surfaces_validation_error(self):
+        engine = RoutingEngine(EngineConfig(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.001,
+                              max_delay=0.002),
+            fault_plan=FaultPlan(garbage=1.0, seed=0),
+        ))
+        results = engine.route_many(small_corpus(2), max_segments=2)
+        assert [r.error_type for r in results] == [
+            ValidationError.__name__
+        ] * 2
+
+    def test_timed_hang_is_killed_long_before_it_ends(self):
+        instances = small_corpus(4)
+        keys = corpus_task_keys(instances)
+        # A seed whose plan hangs some first attempts and no second one.
+        seed = next(
+            s for s in range(200)
+            if any(FaultPlan(hang=0.4, seed=s).decide(k, 1) == "hang"
+                   for k in keys)
+            and all(FaultPlan(hang=0.4, seed=s).decide(k, 2) is None
+                    for k in keys)
+        )
+        baseline = RoutingEngine(EngineConfig(jobs=1)).route_many(
+            instances, max_segments=2
+        )
+        engine = RoutingEngine(EngineConfig(
+            jobs=2, retry=FAST_RETRY,
+            fault_plan=FaultPlan(hang=0.4, seed=seed, hang_seconds=60.0),
+        ))
+        started = time.monotonic()
+        results = engine.route_many(instances, max_segments=2, timeout=0.5)
+        elapsed = time.monotonic() - started
+        assert all(r.ok for r in results)
+        assert result_stream_digest(results) == result_stream_digest(baseline)
+        assert engine.metrics.counter("workers_killed") > 0
+        # Killed a grace second past the deadline, not slept out.
+        assert elapsed < 20.0
+
+    def test_healthy_timed_batch_never_kills(self):
+        engine = RoutingEngine(EngineConfig(jobs=2))
+        results = engine.route_many(
+            small_corpus(6), max_segments=2, timeout=5.0
+        )
+        assert all(r.ok for r in results)
+        assert engine.metrics.counter("workers_killed") == 0
+        assert engine.metrics.counter("pool_rebuilds") == 0
 
     def test_late_failure_from_a_replaced_pool_keeps_the_current_pool(self):
         """Tearing down the current pool would cancel its queued futures,
@@ -515,17 +527,15 @@ class TestManifestError:
 # metrics rendering (satellite)
 # ----------------------------------------------------------------------
 def test_resilience_counters_render():
-    engine = RoutingEngine(EngineConfig(
-        jobs=1, retry=FAST_RETRY, fault_plan=FaultPlan(crash=0.3, seed=5),
-    ))
+    names = ("retries_total", "worker_crashes", "workers_killed",
+             "pool_rebuilds", "tasks_quarantined",
+             "checkpoint_records_written", "checkpoint_records_skipped")
+    engine = RoutingEngine(EngineConfig(jobs=1))
     engine.route_many(small_corpus(), max_segments=2)
-    engine.metrics.incr("checkpoint_records_written", 3)
-    engine.metrics.incr("checkpoint_records_skipped")
+    for name in names:
+        engine.metrics.incr(name)
     rendered = engine.render_stats()
-    assert engine.metrics.counter("retries_total") > 0
-    assert "retries_total" in rendered
-    assert "checkpoint_records_written" in rendered
-    assert "checkpoint_records_skipped" in rendered
+    assert all(name in rendered for name in names)
 
 
 def test_fault_plan_env_var_fallback(tmp_path, monkeypatch):

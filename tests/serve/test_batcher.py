@@ -88,6 +88,32 @@ def test_windows_form_behind_a_running_window():
     assert sizes == [1, 16, 4]
 
 
+def test_a_crashing_solve_fails_only_its_request(deep_exact_instance):
+    corpus = build_corpus(3, seed=11)
+
+    async def main():
+        engine = RoutingEngine(EngineConfig(seed=11))
+        metrics = Metrics()
+        batcher = MicroBatcher(engine, metrics=metrics)
+        batcher.start()
+        loop = asyncio.get_running_loop()
+        pendings = [
+            _pending(entry, loop, algorithm="exact")
+            for entry in [*corpus, (*deep_exact_instance, None)]
+        ]
+        results = await asyncio.gather(*(
+            batcher.submit(p) for p in pendings
+        ))
+        await batcher.close()
+        return results, metrics.snapshot()
+
+    results, snap = _run(main())
+    assert snap["counters"]["serve.batches"] == 1  # one window of four
+    assert all(r.ok for r in results[:3])
+    assert results[3].error_type == "ReproError"
+    assert results[3].error.startswith("RecursionError: ")
+
+
 def test_expired_deadline_is_shed_not_routed():
     corpus = build_corpus(2, seed=13)
 

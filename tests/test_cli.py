@@ -55,6 +55,16 @@ class TestRoute:
         assert main(["route", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_solver_crash_is_one_error_line(
+        self, tmp_path, capsys, deep_exact_instance
+    ):
+        path = tmp_path / "deep.sch"
+        dump_instance(path, *deep_exact_instance)
+        assert main(["route", str(path), "--algorithm", "exact"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RecursionError: ")
+        assert err.count("\n") == 1
+
 
 class TestRouteEngineFlags:
     def test_route_with_timeout(self, instance_file, capsys):
@@ -132,6 +142,23 @@ class TestBatch:
     def test_batch_negative_jobs_is_error(self, instance_file, capsys):
         assert main(["batch", instance_file, "--jobs", "-3"]) == 1
         assert "--jobs" in capsys.readouterr().err
+
+    def test_batch_has_no_watchdog_flag(self, instance_file, capsys):
+        # A solve is bounded by its --timeout alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", instance_file, "--watchdog", "5"])
+        assert exc.value.code == 2
+        assert "--watchdog" in capsys.readouterr().err
+
+    def test_worker_faults_need_a_pool(self, instance_file, capsys):
+        assert main(["batch", instance_file, "--jobs", "1",
+                     "--inject-faults", "garbage=0.2,seed=1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: fault plan sets pool-worker faults (garbage), but "
+            "every solve here runs in process\n"
+        )
+        assert main(["batch", instance_file, "--jobs", "2",
+                     "--inject-faults", "garbage=0.2,seed=1"]) == 0
 
     def test_batch_bad_manifest_line(self, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"
@@ -491,3 +518,41 @@ class TestServe:
         assert config.jobs_dir == "jobs"
         assert config.job_deadline_s == 60.0
         assert (config.max_active_jobs, config.max_queued_jobs) == (2, 4)
+
+    @pytest.mark.parametrize("flags, keys", [
+        (["--inject-faults", "crash=0.5"], "crash"),
+        (["--replicas", "3", "--inject-faults", "crash=0.5,hang=0.1"],
+         "crash, hang"),
+    ], ids=["single", "replicas"])
+    def test_worker_faults_are_refused(self, flags, keys, capsys):
+        # A server never forks solvers, so a worker fault would never fire.
+        code = main(["serve", "--port", "0", "--http-port", "0", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: fault plan sets pool-worker faults ({keys}), but "
+            f"every solve here runs in process\n"
+        )
+
+    def test_env_fault_plan_is_checked_too(self, monkeypatch, capsys):
+        monkeypatch.setenv("ENGINE_FAULT_PLAN", "garbage=0.1,seed=2")
+        assert main(["serve", "--port", "0", "--http-port", "0"]) == 1
+        assert "pool-worker faults (garbage)" in capsys.readouterr().err
+
+    def test_engine_side_and_serve_faults_are_accepted(self, monkeypatch):
+        import repro.serve
+
+        configs = []
+
+        class RecordingServer:
+            def __init__(self, config, trace_sink=None):
+                configs.append(config)
+
+            async def run(self):
+                return None
+
+        monkeypatch.setattr(repro.serve, "RoutingServer", RecordingServer)
+        assert main(["serve", "--inject-faults",
+                     "kill_after_checkpoints=2,conn_drop=0.1,seed=3"]) == 0
+        plan = configs[0].fault_plan
+        assert (plan.kill_after_checkpoints, plan.conn_drop) == (2, 0.1)
