@@ -542,7 +542,10 @@ def _load(spec: str):
     """Load an instance from a path, or from the registry via ``@name``."""
     if spec.startswith("@"):
         return load_named_instance(spec[1:])
-    return load_instance(spec)
+    try:
+        return load_instance(spec)
+    except OSError as exc:
+        raise ReproError(f"cannot read instance: {exc}") from exc
 
 
 def _trace_sink(args: argparse.Namespace):
@@ -679,8 +682,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ReproError(f"--jobs must be >= 0, got {args.jobs}")
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint")
-    plan = _fault_plan(args, in_process=(args.jobs or default_jobs()) == 1)
     specs = _load_batch_specs(args)
+    plan = _fault_plan(
+        args, in_process=min(args.jobs or default_jobs(), len(specs)) == 1
+    )
     instances = [_load(spec) for spec, _ in specs]
     sink = _trace_sink(args)
     engine = RoutingEngine(EngineConfig(

@@ -62,6 +62,7 @@ import warnings
 from typing import Optional
 
 from repro.core.errors import CacheCorruptionWarning
+from repro.obs.trace import SpanCollector, derive_trace_id
 
 __all__ = ["CacheStore", "key_digest"]
 
@@ -209,17 +210,15 @@ class CacheStore:
                 self._metrics.incr(f"cache.persist.{name}", n)
 
     def _emit_span(self, name: str, **attrs) -> None:
-        if self._trace_sink is None:
-            return
-        from repro.obs.trace import SpanCollector, derive_trace_id
-
         self._span_seq += 1
-        collector = SpanCollector(
-            derive_trace_id(self._seed, f"cache-store:{self._span_seq}"), "cs"
-        )
-        span = collector.start(name, **attrs)
-        span.finish()
-        self._trace_sink.write_all(collector.drain())
+        trace_id = ""
+        if self._trace_sink is not None:
+            trace_id = derive_trace_id(
+                self._seed, f"cache-store:{self._span_seq}"
+            )
+        collector = SpanCollector(trace_id, "cs", self._trace_sink)
+        collector.start(name, **attrs).finish()
+        collector.flush()
 
     def counters(self) -> dict:
         """Point-in-time counter snapshot (the ``stats`` surface)."""

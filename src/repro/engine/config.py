@@ -57,9 +57,7 @@ class EngineConfig:
         :class:`~repro.core.errors.EngineTimeout`.  Every rung must be
         one of :data:`repro.core.api.ALGORITHMS`.
     cache:
-        Enable the canonical instance cache.
-    cache_size:
-        Maximum number of cached routings (LRU eviction).
+        Enable the canonical instance cache (an LRU of 4096 routings).
     cache_dir:
         Directory for the persistent shared cache tier
         (:class:`~repro.engine.cache_store.CacheStore`), or ``None``
@@ -87,7 +85,6 @@ class EngineConfig:
     timeout: Optional[float] = None
     ladder: tuple[str, ...] = ("lp", "greedy1")
     cache: bool = True
-    cache_size: int = 4096
     cache_dir: Optional[str] = None
     seed: int = 0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -98,8 +95,6 @@ class EngineConfig:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.cache_dir is not None and not self.cache:
             raise ValueError("cache_dir requires cache=True")
         for rung in self.ladder:

@@ -88,7 +88,7 @@ class BatchResult:
     timed_out: bool = False
     error_type: Optional[str] = None
     error: Optional[str] = None
-    trace_id: str = ""  # set when the engine has a trace sink
+    trace_id: str = ""  # empty unless the engine has a trace sink
 
     @property
     def ok(self) -> bool:
@@ -108,7 +108,8 @@ class RoutingEngine:
     seed, a per-engine request-batch sequence number, and the canonical
     task key via :func:`repro.substrate.prng.derive_seed`, so re-running
     a batch regenerates identical trace IDs.  Without a sink (the
-    default) no tracing code runs at all.
+    default) every request gets an inert collector: the same code runs
+    and records nothing.
     """
 
     def __init__(
@@ -127,9 +128,7 @@ class RoutingEngine:
                 trace_sink=trace_sink,
                 seed=self.config.seed,
             )
-        self.cache = InstanceCache(
-            self.config.cache_size, persist=self.cache_store
-        )
+        self.cache = InstanceCache(persist=self.cache_store)
         self._trace_lock = threading.Lock()
         self._batch_seq = 0
         self._closed = False
@@ -175,43 +174,43 @@ class RoutingEngine:
 
     def _start_trace(
         self,
-        batch_no: int,
+        batch_no: Optional[int],
         index: int,
         key,
         algorithm: str,
         parent: Optional[TraceParent] = None,
-    ) -> tuple[Optional[SpanCollector], Optional[ActiveSpan]]:
-        """Open the root ``request`` span for one request (or no-op).
+    ) -> tuple[SpanCollector, ActiveSpan]:
+        """Open the root ``request`` span for one request.
 
         With an external ``parent`` — ``(trace_id, parent_span_id)`` from
         a caller that already opened a span, e.g. the serving layer —
         the request span joins that trace as a child instead of rooting
-        a freshly derived one.
+        a freshly derived one.  Without a sink the collector is inert.
+        A request outside any batch (``batch_no=None``) that derives its
+        trace ID takes the next batch number: a batch of one.
         """
         if self.trace_sink is None:
-            return None, None
-        if parent is not None:
+            trace_id = parent_span = ""
+        elif parent is not None:
             trace_id, parent_span = parent
         else:
+            if batch_no is None:
+                batch_no = self._next_batch()
             trace_id = derive_trace_id(
                 self.config.seed, f"{batch_no}:{index}:{key!r}"
             )
             parent_span = ""
-        collector = SpanCollector(trace_id, "p")
+        collector = SpanCollector(trace_id, "p", self.trace_sink)
         root = collector.start(
             "request", parent_id=parent_span, index=index, algorithm=algorithm
         )
         return collector, root
 
+    @staticmethod
     def _finish_trace(
-        self,
-        collector: Optional[SpanCollector],
-        root: Optional[ActiveSpan],
-        result: BatchResult,
+        collector: SpanCollector, root: ActiveSpan, result: BatchResult
     ) -> None:
         """Close the root span with the outcome and flush to the sink."""
-        if collector is None:
-            return
         result.trace_id = collector.trace_id
         root.set(ok=result.ok)
         if result.cache_hit:
@@ -225,7 +224,7 @@ class RoutingEngine:
         if result.error_type:
             root.set(error=result.error_type)
         root.finish()
-        self.trace_sink.write_all(collector.drain())
+        collector.flush()
 
     # ------------------------------------------------------------------
     # single-request API
@@ -271,6 +270,7 @@ class RoutingEngine:
         max_segments: Optional[int] = None,
         weight: Union[None, str, WeightTable] = None,
         algorithm: str = "auto",
+        trace_parent: Optional[TraceParent] = None,
     ) -> Optional[BatchResult]:
         """Non-blocking cache probe: a completed result, or ``None``.
 
@@ -278,33 +278,33 @@ class RoutingEngine:
         with key computation + lookup + replay validation only — no
         solver, no worker pool, nothing that blocks — so an event loop
         can call this inline and skip its dispatch machinery entirely.
-        On a miss (or with the cache disabled, or when tracing is on —
-        trace runs want the full span tree) it returns ``None`` and
-        counts *nothing*: the full path the caller falls back to does
-        its own request/hit/miss accounting.  The probe therefore uses
-        ``count_miss=False`` — a counted probe miss plus the fallback's
-        counted miss would double-count every missed request and skew
-        ``hit_rate`` low under serving load.
+        A hit emits the same ``request`` → ``cache.lookup`` →
+        ``cache.replay`` tree as a hit inside :meth:`route_many`, under
+        ``trace_parent`` when given (without one it is traced as a batch
+        of one).  On a miss (or with the cache disabled) it returns
+        ``None`` and counts and emits *nothing*: the full path the
+        caller falls back to does its own request/hit/miss accounting
+        and tracing.  The probe therefore uses ``count_miss=False`` — a
+        counted probe miss plus the fallback's counted miss would
+        double-count every missed request and skew ``hit_rate`` low
+        under serving load.
         """
-        if not self.config.cache or self.trace_sink is not None:
+        if not self.config.cache:
             return None
         self._ensure_open()
-        key = canonical_key(
-            channel, connections, max_segments,
-            self._check_weight(weight), self._check_algorithm(algorithm),
+        weight = self._check_weight(weight)
+        algorithm = self._check_algorithm(algorithm)
+        key = canonical_key(channel, connections, max_segments, weight, algorithm)
+        collector, root = self._start_trace(
+            None, 0, key, algorithm, trace_parent
         )
-        assignment = self.cache.lookup(key, channel, count_miss=False)
-        if assignment is None:
-            return None
-        result = BatchResult(
-            index=0, channel=channel, connections=connections,
-            max_segments=max_segments,
+        result = self._replay_cached(
+            0, channel, connections, max_segments, key, collector, root,
+            count_miss=False,
         )
-        self._finish_hit(result, assignment)
-        if not result.ok:  # pragma: no cover - defensive replay failure
-            return None
-        self.metrics.incr("requests")
-        self.metrics.incr("cache.hits")
+        if result is not None:
+            self.metrics.incr("requests")
+            self._finish_trace(collector, root, result)
         return result
 
     # ------------------------------------------------------------------
@@ -377,19 +377,17 @@ class RoutingEngine:
         results: list[Optional[BatchResult]] = [None] * len(pairs)
         tasks: list[RouteTask] = []
         keys: list = [None] * len(pairs)
+        # (SpanCollector, root span) per request
+        traces: list = [None] * len(pairs)
         first_of_key: dict = {}
         duplicates: list[int] = []
-        # index -> (SpanCollector, root span) for requests still in flight
-        traces: dict[int, tuple[SpanCollector, ActiveSpan]] = {}
         for i, (channel, connections) in enumerate(pairs):
             self.metrics.incr("requests")
             key = canonical_key(channel, connections, k_list[i], weight, algorithm)
             keys[i] = key
-            collector, root = self._start_trace(
+            collector, root = traces[i] = self._start_trace(
                 batch_no, i, key, algorithm, parents[i]
             )
-            if collector is not None:
-                traces[i] = (collector, root)
             if journal is not None:
                 restored = self._restore_journaled(
                     journal, i, key, channel, connections, k_list[i],
@@ -400,37 +398,29 @@ class RoutingEngine:
                     first_of_key.setdefault(key, i)
                     self.metrics.incr("checkpoint_records_skipped")
                     self._finish_trace(collector, root, restored)
-                    traces.pop(i, None)
                     continue
             if key in first_of_key:
                 duplicates.append(i)  # resolved after the representative runs
                 continue
             first_of_key[key] = i
             if self.config.cache:
-                assignment = self._cache_lookup(key, channel, collector, root)
-                if assignment is not None:
-                    self.metrics.incr("cache.hits")
-                    result = BatchResult(
-                        index=i, channel=channel, connections=connections,
-                        max_segments=k_list[i],
-                    )
-                    self._finish_hit(result, assignment, collector, root)
-                    if result.ok:
-                        results[i] = result
-                        self._journal_result(journal, key, result, collector, root)
-                        self._finish_trace(collector, root, result)
-                        traces.pop(i, None)
-                        continue
+                result = self._replay_cached(
+                    i, channel, connections, k_list[i], key, collector, root,
+                )
+                if result is not None:
+                    results[i] = result
+                    self._journal_result(journal, key, result, collector, root)
+                    self._finish_trace(collector, root, result)
+                    continue
                 self.metrics.incr("cache.misses")
-            collector, root = traces.get(i, (None, None))
             tasks.append(RouteTask(
                 index=i, channel=channel, connections=connections,
                 max_segments=k_list[i], weight_spec=weight,
                 algorithm=algorithm, timeout=timeout,
                 ladder=self.config.ladder, seed=self.config.seed,
                 task_key=repr(key),
-                trace_id=collector.trace_id if collector else "",
-                trace_parent=root.span_id if root else "",
+                trace_id=collector.trace_id,
+                trace_parent=root.span_id,
             ))
 
         for outcome in self._execute(tasks, jobs):
@@ -440,25 +430,21 @@ class RoutingEngine:
                 index=i, channel=channel, connections=connections,
                 max_segments=k_list[i],
             )
-            collector, root = traces.get(i, (None, None))
-            if collector is not None:
-                collector.adopt(outcome.spans)
+            collector, root = traces[i]
+            collector.adopt(outcome.spans)
             self._absorb(result, outcome, keys[i])
             results[i] = result
             self._journal_result(journal, keys[i], result, collector, root)
             self._finish_trace(collector, root, result)
-            traces.pop(i, None)
 
         for i in duplicates:
-            collector, root = traces.get(i, (None, None))
+            collector, root = traces[i]
             results[i] = self._resolve_duplicate(
-                i, pairs[i], k_list[i], keys[i],
-                results[first_of_key[keys[i]]],
+                i, pairs[i], k_list[i], results[first_of_key[keys[i]]],
                 collector, root,
             )
             self._journal_result(journal, keys[i], results[i], collector, root)
             self._finish_trace(collector, root, results[i])
-            traces.pop(i, None)
         return [r for r in results if r is not None]
 
     def _execute(
@@ -490,8 +476,8 @@ class RoutingEngine:
         channel: SegmentedChannel,
         connections: ConnectionSet,
         k: Optional[int],
-        collector: Optional[SpanCollector] = None,
-        root: Optional[ActiveSpan] = None,
+        collector: SpanCollector,
+        root: ActiveSpan,
     ) -> Optional[BatchResult]:
         """Rebuild a result from its journal record, or ``None``.
 
@@ -503,11 +489,7 @@ class RoutingEngine:
         payload = journal.get(record_key(index, repr(key)))
         if payload is None:
             return None
-        restore_span = None
-        if collector is not None:
-            restore_span = collector.start(
-                "journal.restore", parent_id=root.span_id
-            )
+        restore_span = collector.start("journal.restore", parent_id=root.span_id)
         result = BatchResult(
             index=index, channel=channel, connections=connections,
             max_segments=k,
@@ -525,9 +507,8 @@ class RoutingEngine:
                 routing = Routing(channel, connections, assignment)
                 routing.validate(k)
             except Exception as exc:
-                if restore_span is not None:
-                    restore_span.set(error=type(exc).__name__)
-                    restore_span.finish()
+                restore_span.set(error=type(exc).__name__)
+                restore_span.finish()
                 raise CheckpointError(
                     f"journal record for instance {index} does not validate "
                     f"against the current batch (was it changed between "
@@ -539,9 +520,8 @@ class RoutingEngine:
         else:
             result.error_type = payload.get("error_type")
             result.error = payload.get("error")
-        if restore_span is not None:
-            restore_span.set(ok=result.ok)
-            restore_span.finish()
+        restore_span.set(ok=result.ok)
+        restore_span.finish()
         return result
 
     def _journal_result(
@@ -549,8 +529,8 @@ class RoutingEngine:
         journal: Optional[CheckpointJournal],
         key,
         result: BatchResult,
-        collector: Optional[SpanCollector] = None,
-        root: Optional[ActiveSpan] = None,
+        collector: SpanCollector,
+        root: ActiveSpan,
     ) -> None:
         """Append one completed result to the journal (if any).
 
@@ -565,10 +545,7 @@ class RoutingEngine:
         rkey = record_key(result.index, repr(key))
         if journal.has(rkey):
             return
-        if collector is not None:
-            with collector.span("journal.write", parent_id=root.span_id):
-                journal.append(rkey, self._result_payload(result))
-        else:
+        with collector.span("journal.write", parent_id=root.span_id):
             journal.append(rkey, self._result_payload(result))
         self.metrics.incr("checkpoint_records_written")
         plan = self.config.fault_plan
@@ -603,10 +580,9 @@ class RoutingEngine:
         index: int,
         pair: Instance,
         k: Optional[int],
-        key,
         representative: BatchResult,
-        collector: Optional[SpanCollector] = None,
-        root: Optional[ActiveSpan] = None,
+        collector: SpanCollector,
+        root: ActiveSpan,
     ) -> BatchResult:
         """Serve an intra-batch duplicate from its representative's result."""
         channel, connections = pair
@@ -614,12 +590,10 @@ class RoutingEngine:
             index=index, channel=channel, connections=connections,
             max_segments=k,
         )
-        dup_span = None
-        if collector is not None:
-            dup_span = collector.start(
-                "duplicate.replay", parent_id=root.span_id,
-                representative=representative.index,
-            )
+        dup_span = collector.start(
+            "duplicate.replay", parent_id=root.span_id,
+            representative=representative.index,
+        )
         if representative.ok:
             canonical = canonicalize_assignment(
                 representative.channel, representative.routing.assignment
@@ -631,55 +605,61 @@ class RoutingEngine:
             result.error_type = representative.error_type
             result.error = representative.error
             result.timed_out = representative.timed_out
-        if dup_span is not None:
-            dup_span.set(ok=result.ok)
-            dup_span.finish()
+        dup_span.set(ok=result.ok)
+        dup_span.finish()
         return result
 
     # ------------------------------------------------------------------
     # shared plumbing
     # ------------------------------------------------------------------
-    def _cache_lookup(
+    def _replay_cached(
         self,
-        key,
+        index: int,
         channel: SegmentedChannel,
-        collector: Optional[SpanCollector],
-        root: Optional[ActiveSpan],
-    ) -> Optional[tuple[int, ...]]:
-        """Cache lookup, wrapped in a ``cache.lookup`` span when tracing."""
-        if collector is None:
-            return self.cache.lookup(key, channel)
-        with collector.span("cache.lookup", parent_id=root.span_id) as span:
-            assignment = self.cache.lookup(key, channel)
-            span.set(hit=assignment is not None)
-        return assignment
+        connections: ConnectionSet,
+        k: Optional[int],
+        key,
+        collector: SpanCollector,
+        root: ActiveSpan,
+        count_miss: bool = True,
+    ) -> Optional[BatchResult]:
+        """A cache hit replayed onto this instance, or ``None``.
 
-    def _finish_hit(
-        self,
-        result: BatchResult,
-        assignment: tuple[int, ...],
-        collector: Optional[SpanCollector] = None,
-        root: Optional[ActiveSpan] = None,
-    ) -> None:
+        The hit path of both :meth:`route_many` and :meth:`route_cached`:
+        a ``cache.lookup`` span, then on a hit a ``cache.replay`` span.
+        Only a hit that re-validates counts (``cache.hits``).
+        """
+        with collector.span("cache.lookup", parent_id=root.span_id) as span:
+            assignment = self.cache.lookup(key, channel, count_miss=count_miss)
+            span.set(hit=assignment is not None)
+        if assignment is None:
+            return None
+        result = BatchResult(
+            index=index, channel=channel, connections=connections,
+            max_segments=k,
+        )
+        with collector.span("cache.replay", parent_id=root.span_id) as span:
+            self._finish_hit(result, assignment)
+            if result.error_type:  # pragma: no cover - defensive
+                span.set(error=result.error_type)
+        if not result.ok:  # pragma: no cover - defensive replay failure
+            return None
+        self.metrics.incr("cache.hits")
+        return result
+
+    @staticmethod
+    def _finish_hit(result: BatchResult, assignment: tuple[int, ...]) -> None:
         """Install a cache-served assignment (always re-validated)."""
-        replay_span = None
-        if collector is not None:
-            replay_span = collector.start("cache.replay", parent_id=root.span_id)
         routing = Routing(result.channel, result.connections, assignment)
         try:
             routing.validate(result.max_segments)
         except ValidationError as exc:  # pragma: no cover - defensive
             result.error_type = type(exc).__name__
             result.error = str(exc)
-            if replay_span is not None:
-                replay_span.set(error=type(exc).__name__)
-                replay_span.finish()
             return
         result.routing = routing
         result.algorithm = "cache"
         result.cache_hit = True
-        if replay_span is not None:
-            replay_span.finish()
 
     def _absorb(self, result: BatchResult, outcome: TaskOutcome, key) -> None:
         """Fold a task outcome into a batch result + metrics + cache.

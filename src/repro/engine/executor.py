@@ -25,12 +25,13 @@ every task re-seeds from ``derive_seed(base_seed, task_key)`` before
 routing, so results are bit-identical regardless of worker count or
 scheduling order.
 
-Tracing: when a task carries a ``trace_id``, :func:`run_task` builds a
-local :class:`~repro.obs.SpanCollector` (span-ID prefix ``w<attempt>:``)
-and records a ``task`` span with one ``attempt`` child per degradation
-rung, a ``solve`` span under each attempt, and ``kernel.dp`` children
-for each DP kernel run; the finished :class:`TaskOutcome` carries them
-all.  With no ``trace_id`` (the default) none of this code runs.
+Tracing: :func:`run_task` builds a local :class:`~repro.obs.SpanCollector`
+for the task's ``trace_id`` (span-ID prefix ``w<attempt>:``) and records
+a ``task`` span with one ``attempt`` child per degradation rung, a
+``solve`` span under each attempt, and ``kernel.dp`` children for each
+DP kernel run; the finished :class:`TaskOutcome` carries them all.  A
+task with no ``trace_id`` (the default) gets an inert collector, which
+records nothing, and runs the same code.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.core.routing import (
     segment_count_weight,
 )
 from repro.engine.weights import WeightTable
-from repro.obs.trace import SpanCollector
+from repro.obs.trace import NO_TRACE, SpanCollector
 from repro.substrate.deadline import bounded
 from repro.substrate.prng import derive_seed
 
@@ -149,26 +150,21 @@ def _solve(
     max_segments: Optional[int],
     weight_spec,
     algorithm: str,
-    collector: Optional[SpanCollector] = None,
-    parent_id: str = "",
+    collector: SpanCollector,
+    parent_id: str,
 ) -> tuple[tuple[int, ...], int]:
     """Solve in-process; returns ``(assignment, dp_nodes_pruned)``.
 
     The pruning counter is a per-thread accumulator in
     :mod:`repro.core.kernels`; consuming it immediately before and after
-    the solve isolates this attempt's contribution.  With a collector,
-    the DP kernel trace hook is enabled for the duration of the solve
-    and each kernel run becomes a ``kernel.dp`` span under ``parent_id``.
+    the solve isolates this attempt's contribution.  With a live
+    collector, the DP kernel trace hook is enabled for the duration of
+    the solve and each kernel run becomes a ``kernel.dp`` span under
+    ``parent_id``.
     """
     weight = resolve_weight(weight_spec, channel, connections)
     consume_dp_pruned()  # discard any stale count from earlier work
-    if collector is None:
-        routing = route(
-            channel, connections, max_segments=max_segments, weight=weight,
-            algorithm=algorithm,
-        )
-        return routing.assignment, consume_dp_pruned()
-    set_kernel_trace(True)
+    set_kernel_trace(bool(collector.trace_id))
     try:
         routing = route(
             channel, connections, max_segments=max_segments, weight=weight,
@@ -192,7 +188,7 @@ def attempt_route(
     weight_spec,
     algorithm: str,
     timeout: Optional[float],
-    collector: Optional[SpanCollector] = None,
+    collector: SpanCollector = NO_TRACE,
     parent_id: str = "",
 ) -> tuple[tuple[int, ...], int]:
     """Run one algorithm attempt in process, bounded by ``timeout`` seconds.
@@ -203,17 +199,14 @@ def attempt_route(
     calling thread already carries).  Any other exception (e.g. a
     ``RecursionError`` from deep backtracking) is re-raised as
     ``ReproError("<Type>: <message>")``, timed or not, so it fails this
-    request alone rather than the batch it runs in.  With a collector
-    the attempt records a ``solve`` span under ``parent_id``, with the
-    DP kernel spans beneath it.
+    request alone rather than the batch it runs in.  The attempt records
+    a ``solve`` span under ``parent_id`` in ``collector``, with the DP
+    kernel spans beneath it.
     """
     if timeout is not None and timeout <= 0:
         raise EngineTimeout(f"no budget left for algorithm {algorithm!r}")
     with bounded(timeout):
         try:
-            if collector is None:
-                return _solve(channel, connections, max_segments,
-                              weight_spec, algorithm)
             with collector.span("solve", parent_id, algorithm=algorithm,
                                 pid=os.getpid()) as span:
                 return _solve(channel, connections, max_segments,
@@ -241,13 +234,11 @@ def run_task(task: RouteTask, attempt: int = 1) -> TaskOutcome:
     namespaces span IDs so retried attempts never collide in the trace.
     """
     random.seed(derive_seed(task.seed, task.task_key or str(task.index)))
-    collector = task_span = None
-    if task.trace_id:
-        collector = SpanCollector(task.trace_id, f"w{attempt}:")
-        task_span = collector.start(
-            "task", parent_id=task.trace_parent, index=task.index,
-            attempt=attempt, pid=os.getpid(),
-        )
+    collector = SpanCollector(task.trace_id, f"w{attempt}:")
+    task_span = collector.start(
+        "task", parent_id=task.trace_parent, index=task.index,
+        attempt=attempt, pid=os.getpid(),
+    )
     rungs = [task.algorithm]
     if task.timeout is not None:
         rungs += [r for r in task.ladder if r not in rungs]
@@ -267,38 +258,33 @@ def run_task(task: RouteTask, attempt: int = 1) -> TaskOutcome:
             # Even share of what's left over the rungs still to try; the
             # last rung gets everything remaining.
             budget = remaining / (len(rungs) - rung_no)
-        attempt_span = None
-        if collector is not None:
-            attempt_span = collector.start(
-                "attempt", parent_id=task_span.span_id, algorithm=algorithm,
-                rung=rung_no,
-            )
-            if budget is not None:
-                attempt_span.set(budget=budget)
+        attempt_span = collector.start(
+            "attempt", parent_id=task_span.span_id, algorithm=algorithm,
+            rung=rung_no,
+        )
+        if budget is not None:
+            attempt_span.set(budget=budget)
         try:
             assignment, pruned = attempt_route(
                 task.channel, task.connections, task.max_segments,
                 task.weight_spec, algorithm, budget,
-                collector, attempt_span.span_id if attempt_span else "",
+                collector, attempt_span.span_id,
             )
         except EngineTimeout:
-            if attempt_span is not None:
-                attempt_span.set(outcome="timeout")
-                attempt_span.finish()
+            attempt_span.set(outcome="timeout")
+            attempt_span.finish()
             timed_out = True
             continue
         except ReproError as exc:
-            if attempt_span is not None:
-                attempt_span.set(outcome="error", error=type(exc).__name__)
-                attempt_span.finish()
+            attempt_span.set(outcome="error", error=type(exc).__name__)
+            attempt_span.finish()
             if rung_no == 0:
                 outcome.error_type = type(exc).__name__
                 outcome.error = str(exc)
                 break
             continue  # ladder-rung failures are not proofs; keep degrading
-        if attempt_span is not None:
-            attempt_span.set(outcome="ok")
-            attempt_span.finish()
+        attempt_span.set(outcome="ok")
+        attempt_span.finish()
         outcome.assignment = assignment
         outcome.algorithm = algorithm
         outcome.fallbacks = rung_no
@@ -312,15 +298,14 @@ def run_task(task: RouteTask, attempt: int = 1) -> TaskOutcome:
             f"no algorithm produced a routing within {task.timeout:.3g}s "
             f"(tried {', '.join(rungs)})"
         )
-    if collector is not None:
-        task_span.set(
-            ok=outcome.ok, fallbacks=outcome.fallbacks,
-            timed_out=outcome.timed_out,
-        )
-        if outcome.algorithm:
-            task_span.set(algorithm=outcome.algorithm)
-        task_span.finish()
-        outcome.spans = collector.drain()
+    task_span.set(
+        ok=outcome.ok, fallbacks=outcome.fallbacks,
+        timed_out=outcome.timed_out,
+    )
+    if outcome.algorithm:
+        task_span.set(algorithm=outcome.algorithm)
+    task_span.finish()
+    outcome.spans = collector.drain()
     return outcome
 
 

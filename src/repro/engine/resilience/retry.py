@@ -24,21 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import ValidationError, WorkerCrashError
+from repro.core.errors import ValidationError
 from repro.substrate.prng import derive_seed
 
 __all__ = ["RetryPolicy", "backoff_delay", "DEFAULT_RETRYABLE"]
 
 #: Error *type names* (as recorded on a ``TaskOutcome``) that are safe to
 #: retry: they describe the worker or the transport, not the instance.
-#: ``ValidationError`` is included because a recovered-but-corrupt result
-#: (e.g. from fault injection or a bit flip) fails validation in the
-#: supervisor and a clean re-run is the correct response; deterministic
-#: validation failures simply exhaust ``max_attempts`` and surface.
-DEFAULT_RETRYABLE = (
-    WorkerCrashError.__name__,
-    ValidationError.__name__,
-)
+#: ``ValidationError`` is the one by default: a recovered-but-corrupt
+#: result (e.g. from fault injection or a bit flip) fails validation in
+#: the supervisor and a clean re-run is the correct response;
+#: deterministic validation failures simply exhaust ``max_attempts`` and
+#: surface.  Worker crashes never arrive as an outcome: the supervisor
+#: charges them to ``max_worker_crashes``.
+DEFAULT_RETRYABLE = (ValidationError.__name__,)
 
 
 @dataclass(frozen=True)

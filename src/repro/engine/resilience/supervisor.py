@@ -58,7 +58,7 @@ from repro.engine.executor import (
 from repro.engine.metrics import Metrics
 from repro.engine.resilience.faults import FaultPlan, corrupt_assignment
 from repro.engine.resilience.retry import RetryPolicy, backoff_delay
-from repro.obs.trace import completed_span
+from repro.obs.trace import SpanCollector
 
 __all__ = ["SupervisedExecutor", "run_sequential"]
 
@@ -136,26 +136,25 @@ class _TaskState:
     crashes: int = 0    # worker crashes / hang kills so far
     began: bool = False  # current submission reached a worker
     pool: Optional[ProcessPoolExecutor] = None  # current submission's pool
-    spans: list = field(default_factory=list)  # spans from superseded attempts
+    #: Spans of superseded attempts and parent-side ``retry`` markers,
+    #: whose ``rt`` span-ID prefix never collides with worker-side
+    #: ``w<attempt>:`` spans.  Inert when the task is untraced.
+    spans: SpanCollector = field(init=False)
 
+    def __post_init__(self) -> None:
+        self.spans = SpanCollector(self.task.trace_id, "rt")
 
-def _retry_span(task: RouteTask, tries: int, reason: str) -> dict:
-    """Parent-side span marking one retried submission of ``task``.
-
-    Span IDs under the ``rt`` prefix are keyed by the submission counter,
-    so they never collide with worker-side ``w<attempt>:`` spans.
-    """
-    return completed_span(
-        task.trace_id, f"rt{tries}", task.trace_parent, "retry",
-        time.time(), 0.0, attempt=tries, reason=reason,
-    )
+    def mark_retry(self, reason: str) -> None:
+        """Record a ``retry`` span for the submission that just failed."""
+        self.spans.emit(
+            "retry", self.task.trace_parent, time.time(), 0.0,
+            attempt=self.tries, reason=reason,
+        )
 
 
 def _finalize_spans(state: _TaskState, outcome: TaskOutcome) -> TaskOutcome:
     """Prepend spans accumulated from earlier attempts to the outcome."""
-    if state.spans:
-        outcome.spans = state.spans + outcome.spans
-        state.spans = []
+    outcome.spans[:0] = state.spans.drain()
     return outcome
 
 
@@ -415,12 +414,9 @@ class SupervisedExecutor:
                 return _finalize_spans(state, _quarantine_outcome(
                     task, state.crashes, self.policy.max_worker_crashes
                 ))
-            if task.trace_id:
-                # The worker died with its spans; only the parent-side
-                # retry marker survives for this attempt.
-                state.spans.append(
-                    _retry_span(task, state.tries, "WorkerCrashError")
-                )
+            # The worker died with its spans; only the parent-side
+            # retry marker survives for this attempt.
+            state.mark_retry("WorkerCrashError")
             self._incr("retries_total")
             due = time.monotonic() + backoff_delay(
                 self.policy, state.tries, self.seed, key
@@ -439,11 +435,8 @@ class SupervisedExecutor:
         if self.policy.is_retryable(outcome.error_type):
             state.failures += 1
             if state.failures < self.policy.max_attempts:
-                if task.trace_id:
-                    state.spans.extend(outcome.spans)
-                    state.spans.append(_retry_span(
-                        task, state.tries, outcome.error_type or "unknown"
-                    ))
+                state.spans.adopt(outcome.spans)
+                state.mark_retry(outcome.error_type or "unknown")
                 self._incr("retries_total")
                 due = time.monotonic() + backoff_delay(
                     self.policy, state.tries, self.seed, key

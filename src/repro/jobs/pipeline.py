@@ -318,17 +318,13 @@ def run_chip_pipeline(
             fsync_interval=1,
         )
 
-    collector = root = None
-    if (
-        engine is not None
-        and getattr(engine, "trace_sink", None) is not None
-        and job_id
-    ):
-        collector = SpanCollector(
-            derive_trace_id(engine.config.seed, f"job:{job_id}"), "jb"
-        )
-        root = collector.start("job", job_id=job_id, rows=spec.rows,
-                               cells_per_row=spec.cells_per_row)
+    sink = getattr(engine, "trace_sink", None)
+    trace_id = ""
+    if sink is not None and job_id:
+        trace_id = derive_trace_id(engine.config.seed, f"job:{job_id}")
+    collector = SpanCollector(trace_id, "jb", sink)
+    root = collector.start("job", job_id=job_id, rows=spec.rows,
+                           cells_per_row=spec.cells_per_row)
 
     rounds: list[RoundReport] = []
     resumed_total = 0
@@ -352,13 +348,12 @@ def run_chip_pipeline(
                 resume=True,
             )
             resumed = len(journal)
-        round_span = None
+        round_span = collector.start(
+            "job.round", parent_id=root.span_id,
+            round=round_index, moved=moved,
+        )
         parents = None
-        if collector is not None:
-            round_span = collector.start(
-                "job.round", parent_id=root.span_id,
-                round=round_index, moved=moved,
-            )
+        if trace_id:
             parents = [
                 (
                     derive_trace_id(
@@ -416,11 +411,10 @@ def run_chip_pipeline(
             duration_s=time.monotonic() - round_started,
         )
         rounds.append(report)
-        if round_span is not None:
-            round_span.set(
-                ok=chip.ok, failed=len(chip.failed_channels), digest=digest
-            )
-            round_span.finish()
+        round_span.set(
+            ok=chip.ok, failed=len(chip.failed_channels), digest=digest
+        )
+        round_span.finish()
         if on_round is not None:
             on_round(report)
         return chip
@@ -428,13 +422,12 @@ def run_chip_pipeline(
     def finish(chip: ChipRouting, best_round: int) -> PipelineResult:
         if state is not None:
             state.close()
-        if collector is not None:
-            root.set(
-                ok=chip.ok, rounds=len(rounds),
-                digest=rounds[best_round].digest if rounds else "",
-            )
-            root.finish()
-            engine.trace_sink.write_all(collector.drain())
+        root.set(
+            ok=chip.ok, rounds=len(rounds),
+            digest=rounds[best_round].digest if rounds else "",
+        )
+        root.finish()
+        collector.flush()
         return PipelineResult(
             chip=chip,
             digest=chip_digest(chip),
@@ -472,8 +465,7 @@ def run_chip_pipeline(
     except PipelineAbort:
         if state is not None:
             state.close()
-        if collector is not None:
-            root.set(aborted=True, rounds=len(rounds))
-            root.finish()
-            engine.trace_sink.write_all(collector.drain())
+        root.set(aborted=True, rounds=len(rounds))
+        root.finish()
+        collector.flush()
         raise

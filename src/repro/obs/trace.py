@@ -8,9 +8,13 @@ lookups, journal writes, worker-side execution (``task`` → ``attempt`` →
 
 Design constraints, in order:
 
-* **Zero overhead when disabled.**  Tracing is off unless the engine was
-  given a :class:`TraceSink`; every instrumented call site guards on a
-  ``None`` collector / empty ``trace_id`` before doing any work.
+* **One path, traced or not.**  Tracing is off unless the owner of a
+  :class:`TraceSink` (an engine, server, router, client, chip pipeline
+  or cache store) was given one.  The owner picks a request's trace ID
+  once; with no sink it picks the empty ID, whose collector is *inert*:
+  it hands out one shared span that records nothing and allocates no
+  span.  So every call site traces unconditionally, and traced and
+  untraced requests run the same code.
 * **Reproducible identity.**  Trace IDs are derived with
   :func:`repro.substrate.prng.derive_seed` from the engine seed, the
   batch sequence number, and the request's canonical task key — two runs
@@ -40,8 +44,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.substrate.prng import derive_seed
 
@@ -52,6 +55,7 @@ __all__ = [
     "completed_span",
     "ActiveSpan",
     "SpanCollector",
+    "NO_TRACE",
     "TraceSink",
     "JsonlTraceSink",
     "ListTraceSink",
@@ -97,7 +101,11 @@ def completed_span(
 
 
 class ActiveSpan:
-    """An in-flight span; finished explicitly or by the ``span`` context."""
+    """An in-flight span; finished explicitly or by leaving its ``with``.
+
+    Used as a context manager it records the error type if the body
+    raises.
+    """
 
     __slots__ = ("_collector", "span_id", "parent_id", "name", "attrs",
                  "_ts", "_t0", "_done")
@@ -130,18 +138,64 @@ class ActiveSpan:
             **self.attrs,
         ))
 
+    def __enter__(self) -> "ActiveSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.set(error=exc_type.__name__)
+        self.finish()
+
+
+class _InertSpan:
+    """The span an inert collector hands out: it records nothing."""
+
+    __slots__ = ()
+    span_id = ""
+
+    def set(self, **attrs) -> None:
+        pass
+
+    def finish(self) -> None:
+        pass
+
+    def __enter__(self) -> "_InertSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+_INERT_SPAN = _InertSpan()
+
 
 class SpanCollector:
     """Accumulates the spans one process side contributes to one trace.
 
+    A collector with an empty ``trace_id`` is *inert*: :meth:`start` and
+    :meth:`span` return one shared span whose ``set`` and ``finish`` do
+    nothing, :meth:`emit` and :meth:`adopt` drop their input, and
+    :meth:`drain` returns ``[]``.  The owner of a sink chooses the trace
+    ID, so whether anything is recorded is decided there, once.
+
+    ``sink`` is where :meth:`flush` writes the spans; a worker-side
+    collector has none and ships :meth:`drain`'s spans back instead.
+
     Not thread-safe by design: each collector belongs to one request in
     one process (the engine holds one per in-flight request; workers
-    build their own and ship the spans back).
+    build their own and ship the spans back).  Inert collectors hold no
+    state, so :data:`NO_TRACE` is shared.
     """
 
-    def __init__(self, trace_id: str, prefix: str = "p") -> None:
+    __slots__ = ("trace_id", "prefix", "sink", "_seq", "_spans")
+
+    def __init__(
+        self, trace_id: str, prefix: str = "p",
+        sink: Optional["TraceSink"] = None,
+    ) -> None:
         self.trace_id = trace_id
         self.prefix = prefix
+        self.sink = sink
         self._seq = 0
         self._spans: list[dict] = []
 
@@ -153,22 +207,17 @@ class SpanCollector:
 
     def start(self, name: str, parent_id: str = "", **attrs) -> ActiveSpan:
         """Open a span; caller must :meth:`ActiveSpan.finish` it."""
-        return ActiveSpan(self, self._next_id(), parent_id, name, dict(attrs))
+        if not self.trace_id:
+            return _INERT_SPAN
+        return ActiveSpan(self, self._next_id(), parent_id, name, attrs)
 
-    @contextmanager
-    def span(self, name: str, parent_id: str = "", **attrs) -> Iterator[ActiveSpan]:
-        """Context-managed span; records the error type if the body raises."""
-        active = self.start(name, parent_id, **attrs)
-        try:
-            yield active
-        except BaseException as exc:
-            active.set(error=type(exc).__name__)
-            raise
-        finally:
-            active.finish()
+    #: :meth:`start` for a ``with`` block, which finishes the span.
+    span = start
 
     def emit(self, name: str, parent_id: str, ts: float, dur: float, **attrs) -> str:
         """Append an externally-timed, already-complete span; returns its ID."""
+        if not self.trace_id:
+            return ""
         span_id = self._next_id()
         self._spans.append(completed_span(
             self.trace_id, span_id, parent_id, name, ts, dur, **attrs
@@ -177,12 +226,22 @@ class SpanCollector:
 
     def adopt(self, spans: Iterable[dict]) -> None:
         """Absorb spans produced by another process (already serialized)."""
-        self._spans.extend(spans)
+        if self.trace_id:
+            self._spans.extend(spans)
 
     def drain(self) -> list[dict]:
         """Return and clear the collected spans."""
         spans, self._spans = self._spans, []
         return spans
+
+    def flush(self) -> None:
+        """Write the collected spans to :attr:`sink` and clear them."""
+        if self._spans:
+            self.sink.write_all(self.drain())
+
+
+#: The shared inert collector, for call sites that trace nothing.
+NO_TRACE = SpanCollector("")
 
 
 # ----------------------------------------------------------------------

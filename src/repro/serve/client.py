@@ -575,13 +575,11 @@ class AsyncRoutingClient:
         :class:`ServeResult`\\ s; only transport problems raise.
         """
         request_id = self._next_id()
-        collector = root = None
-        trace_id = parent_id = ""
+        trace_id = ""
         if self.trace_sink is not None:
             trace_id = derive_trace_id(self.seed, f"client:{request_id}")
-            collector = SpanCollector(trace_id, "cl")
-            root = collector.start("client.request", request=request_id)
-            parent_id = root.span_id
+        collector = SpanCollector(trace_id, "cl", self.trace_sink)
+        root = collector.start("client.request", request=request_id)
         request = RouteRequest(
             request_id=request_id, channel=channel, connections=connections,
             max_segments=max_segments, weight=weight, algorithm=algorithm,
@@ -591,20 +589,18 @@ class AsyncRoutingClient:
         try:
             response = await self.call_route(
                 request_id, request,
-                trace_id=trace_id, trace_parent=parent_id,
+                trace_id=trace_id, trace_parent=root.span_id,
             )
         except Exception:
-            if collector is not None:
-                root.set(status="transport-error")
-                root.finish()
-                self.trace_sink.write_all(collector.drain())
+            root.set(status="transport-error")
+            root.finish()
+            collector.flush()
             raise
         latency = time.monotonic() - started
         result = _parse_response(response, latency)
-        if collector is not None:
-            root.set(status=result.status)
-            root.finish()
-            self.trace_sink.write_all(collector.drain())
+        root.set(status=result.status)
+        root.finish()
+        collector.flush()
         return result
 
     async def route_many(

@@ -461,25 +461,21 @@ class RoutingRouter(ProtocolFront):
             ), wire)
             return
 
-        collector = root = None
-        trace_id = parent_id = ""
+        self._request_seq += 1
+        trace_id = ""
         if self.trace_sink is not None:
-            self._request_seq += 1
             trace_id = request.trace_id or derive_trace_id(
                 self.config.seed, f"router:{self._request_seq}"
             )
-            collector = SpanCollector(trace_id, "rt")
-            root = collector.start(
-                "router.request",
-                parent_id=request.trace_parent,
-                request=request.request_id,
-            )
-            parent_id = root.span_id
+        collector = SpanCollector(trace_id, "rt", self.trace_sink)
+        root = collector.start(
+            "router.request",
+            parent_id=request.trace_parent,
+            request=request.request_id,
+        )
 
         self.replica_set.note_request()
-        response = await self._route_with_failover(
-            request, collector, trace_id, parent_id
-        )
+        response = await self._route_with_failover(request, collector, root)
         response = dict(response)
         response["id"] = request.request_id
         status = str(response.get("status", ""))
@@ -492,15 +488,12 @@ class RoutingRouter(ProtocolFront):
         self.metrics.observe(
             "serve.router.latency", time.monotonic() - started
         )
-        if collector is not None:
-            root.set(status=status)
-            root.finish()
-            self.trace_sink.write_all(collector.drain())
+        root.set(status=status)
+        root.finish()
+        collector.flush()
         await conn.reply(response, wire)
 
-    async def _route_with_failover(
-        self, request, collector, trace_id, parent_id
-    ) -> dict:
+    async def _route_with_failover(self, request, collector, root) -> dict:
         """Walk the ring: one attempt in flight, spill past refusals,
         fail over on transport or validation failures."""
         key = self.request_key(request)
@@ -514,7 +507,7 @@ class RoutingRouter(ProtocolFront):
                 break
             tried.add(idx)
             kind, response = await self._try_replica(
-                idx, key, request, attempt, collector, trace_id, parent_id,
+                idx, key, request, attempt, collector, root,
             )
             if kind in ("ok", "error"):
                 return response  # type: ignore[return-value]
@@ -565,26 +558,21 @@ class RoutingRouter(ProtocolFront):
         return None
 
     async def _try_replica(
-        self, idx, key, request, attempt,
-        collector, trace_id, parent_id,
+        self, idx, key, request, attempt, collector, root,
     ) -> tuple[str, Optional[dict]]:
         """One breaker-accounted forward attempt."""
-        span = None
-        if collector is not None:
-            span = collector.start(
-                "router.forward", parent_id=parent_id,
-                replica=idx, attempt=attempt,
-            )
+        span = collector.start(
+            "router.forward", parent_id=root.span_id,
+            replica=idx, attempt=attempt,
+        )
         try:
             kind, response = await self._forward_once(
-                idx, key, request, attempt,
-                trace_id, span.span_id if span is not None else "",
+                idx, key, request, attempt, collector.trace_id, span.span_id,
             )
         except asyncio.CancelledError:
             self.breakers[idx].record_abandoned()
-            if span is not None:
-                span.set(status="cancelled")
-                span.finish()
+            span.set(status="cancelled")
+            span.finish()
             raise
         if kind in ("ok", "error"):
             self.breakers[idx].record_success()
@@ -598,9 +586,8 @@ class RoutingRouter(ProtocolFront):
             # breaker success nor failure — but it does end the probe.
             self.breakers[idx].record_abandoned()
             self._replica_counts[idx]["refused"] += 1
-        if span is not None:
-            span.set(status=kind)
-            span.finish()
+        span.set(status=kind)
+        span.finish()
         return (kind, response)
 
     async def _forward_once(
@@ -633,7 +620,7 @@ class RoutingRouter(ProtocolFront):
         try:
             response = await client.call_route(
                 f"f{next(self._forward_ids)}", request,
-                trace_id=trace_id, trace_parent=span_id if trace_id else "",
+                trace_id=trace_id, trace_parent=span_id,
             )
         except (ServeError, OSError):
             return ("failed", None)

@@ -36,9 +36,10 @@ engine), then close client connections and the admin listener.
 
 With a trace sink, every routed request emits a ``serve.request`` span;
 when the client supplied trace context the span joins the *client's*
-trace, and the engine's ``request`` span (and all worker-side spans
-below it) are stitched underneath via ``route_many(trace_parents=...)``
-— one connected tree from client to kernel.
+trace, and the engine's ``request`` span (and all spans below it) are
+stitched underneath via ``route_cached(trace_parent=...)`` on a cache
+hit, ``route_many(trace_parents=...)`` otherwise — one connected tree
+from client to kernel, on the same path an untraced request takes.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ class ProtocolFront:
         self._drained = False
         self._stop: Optional[asyncio.Event] = None
         self._inflight: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Each open protocol connection: its handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # what a subclass supplies
@@ -350,8 +352,14 @@ class ProtocolFront:
                 list(self._inflight), timeout=self.config.drain_grace
             )
         await self._release()
-        for writer in list(self._writers):
+        for writer in list(self._connections.values()):
             _close_writer(writer)
+        # Let each handler see its closed stream and return, so no
+        # handler is left for the event loop's teardown to cancel.
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections), timeout=self.config.drain_grace
+            )
         if self._http is not None:
             self._http.close()
             await self._http.wait_closed()
@@ -370,7 +378,8 @@ class ProtocolFront:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = Connection(writer)
-        self._writers.add(writer)
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -391,7 +400,7 @@ class ProtocolFront:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._writers.discard(writer)
+            del self._connections[handler]
             _close_writer(writer)
 
     async def _protocol_error(
@@ -538,9 +547,7 @@ class RoutingServer(ProtocolFront):
             ),
             trace_sink=trace_sink,
         )
-        self.trace_sink = trace_sink if trace_sink is not None else (
-            self.engine.trace_sink
-        )
+        self.trace_sink = trace_sink or self.engine.trace_sink
         self.metrics = Metrics()
         # The job traffic class: its own engine (no request timeout, so
         # job results are digest-identical to the offline serial path)
@@ -669,27 +676,20 @@ class RoutingServer(ProtocolFront):
     # the route path
     # ------------------------------------------------------------------
     def _start_span(self, request):
-        """Open the ``serve.request`` span (or no-op without a sink)."""
-        if self.trace_sink is None:
-            return None, None, None
+        """Open the ``serve.request`` span (inert without a sink)."""
         self._request_seq += 1
-        trace_id = request.trace_id or derive_trace_id(
-            self.config.seed, f"serve:{self._request_seq}"
-        )
-        collector = SpanCollector(trace_id, "sv")
+        trace_id = ""
+        if self.trace_sink is not None:
+            trace_id = request.trace_id or derive_trace_id(
+                self.config.seed, f"serve:{self._request_seq}"
+            )
+        collector = SpanCollector(trace_id, "sv", self.trace_sink)
         root = collector.start(
             "serve.request",
             parent_id=request.trace_parent,
             request=request.request_id,
         )
-        return collector, root, (trace_id, root.span_id)
-
-    def _finish_span(self, collector, root, status: str) -> None:
-        if collector is None:
-            return
-        root.set(status=status)
-        root.finish()
-        self.trace_sink.write_all(collector.drain())
+        return collector, root
 
     async def _handle_route(
         self, request, conn: Connection, wire: str, started: float
@@ -717,7 +717,8 @@ class RoutingServer(ProtocolFront):
             ), wire)
             return
 
-        collector, root, trace_parent = self._start_span(request)
+        collector, root = self._start_span(request)
+        trace_parent = (collector.trace_id, root.span_id)
         deadline_at = (
             started + request.deadline_ms / 1000.0
             if request.deadline_ms is not None else None
@@ -725,12 +726,13 @@ class RoutingServer(ProtocolFront):
         try:
             # Cache fast path: a canonical-cache hit is answered inline
             # on the event loop — no batcher queue, no dispatch-thread
-            # hop.  Misses (and traced runs) fall through to the
-            # batcher, which does its own cache/metrics accounting.
+            # hop.  Misses fall through to the batcher, which does its
+            # own cache/metrics accounting and tracing.
             result = self.engine.route_cached(
                 request.channel, request.connections,
                 max_segments=request.max_segments,
                 weight=request.weight, algorithm=request.algorithm,
+                trace_parent=trace_parent,
             )
             if result is not None:
                 self.metrics.incr("serve.cache_fastpath")
@@ -765,7 +767,9 @@ class RoutingServer(ProtocolFront):
             )
         finally:
             self.admission.release()
-        self._finish_span(collector, root, response["status"])
+        root.set(status=response["status"])
+        root.finish()
+        collector.flush()
         self.metrics.observe("serve.latency", time.monotonic() - started)
         await conn.reply(response, wire)
 

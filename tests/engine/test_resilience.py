@@ -68,7 +68,9 @@ class TestRetryPolicy:
     def test_defaults_valid(self):
         policy = RetryPolicy()
         assert policy.max_attempts >= 1
-        assert policy.is_retryable("WorkerCrashError")
+        # Crashes are charged to max_worker_crashes, never retried as an
+        # error outcome.
+        assert not policy.is_retryable("WorkerCrashError")
         assert policy.is_retryable("ValidationError")
         assert not policy.is_retryable("RoutingInfeasibleError")
         assert not policy.is_retryable("EngineTimeout")

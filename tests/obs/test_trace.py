@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.engine import EngineConfig, RoutingEngine
+from repro.io.results import result_stream_digest
 from repro.generators.random_instances import (
     random_channel,
     random_feasible_instance,
@@ -28,6 +29,7 @@ from repro.obs.trace import (
     SPAN_VERSION,
     JsonlTraceSink,
     ListTraceSink,
+    NO_TRACE,
     SpanCollector,
     completed_span,
     derive_trace_id,
@@ -79,6 +81,31 @@ class TestSpanPrimitives:
         span.finish()
         span.finish()
         assert len(col.drain()) == 1
+
+    def test_inert_collector_records_nothing(self):
+        sink = ListTraceSink()
+        col = SpanCollector("", "p", sink)
+        span = col.start("request", ok=True)
+        assert span is col.start("task") is NO_TRACE.start("x")
+        assert span.span_id == ""
+        span.set(ok=False)
+        span.finish()
+        with pytest.raises(RuntimeError):
+            with col.span("solve"):
+                raise RuntimeError("boom")
+        assert col.emit("kernel.dp", "", 1.0, 0.5) == ""
+        col.adopt([completed_span("t", "w1:0", "", "task", 1.0)])
+        assert col.drain() == []
+        col.flush()
+        assert sink.spans == []
+
+    def test_flush_writes_to_the_sink(self):
+        sink = ListTraceSink()
+        col = SpanCollector("t", "p", sink)
+        col.start("request").finish()
+        col.flush()
+        col.flush()  # nothing left to write
+        assert [s["span_id"] for s in sink.spans] == ["p0"]
 
     def test_adopt_merges_foreign_spans(self):
         parent = SpanCollector("t", "p")
@@ -172,6 +199,49 @@ class TestEndToEndTrace:
             return sorted(build_traces(sink.spans))
 
         assert run() == run()
+
+    def test_traced_and_untraced_engines_agree(self):
+        """A sink changes neither counters nor answers: misses (with an
+        intra-batch duplicate), repeats, then fast-path probes."""
+        instances = _instances(4)
+
+        def run(sink):
+            engine = RoutingEngine(EngineConfig(jobs=1), trace_sink=sink)
+            digests = [
+                result_stream_digest(engine.route_many(batch))
+                for batch in (instances + instances[:1], instances)
+            ]
+            probes = [engine.route_cached(*inst) for inst in instances]
+            assert all(p is not None and p.ok for p in probes)
+            digests.append(result_stream_digest(probes))
+            return engine.stats()["counters"], digests
+
+        sink = ListTraceSink()
+        assert run(sink) == run(None)
+        assert len(build_traces(sink.spans)) == 5 + 4 + 4
+
+    def test_route_cached_traces_hits_only(self):
+        sink = ListTraceSink()
+        engine = RoutingEngine(EngineConfig(jobs=1), trace_sink=sink)
+        first, second = _instances(2)
+        engine.route(*first)
+        written = len(sink.spans)
+        assert engine.route_cached(*second) is None
+        assert len(sink.spans) == written  # a miss emits nothing
+        hit = engine.route_cached(*first, trace_parent=("feed", "sv0"))
+        (trace,) = build_traces(
+            [completed_span("feed", "sv0", "", "serve.request", 1.0)]
+            + sink.spans[written:]
+        ).values()
+        trace.validate()
+        (request,) = [s for s in trace.spans if s["name"] == "request"]
+        assert request["parent_id"] == "sv0"
+        assert request["attrs"]["cache"] == "hit"
+        assert hit.trace_id == "feed"
+        assert sorted(
+            s["name"] for s in trace.spans
+            if s["parent_id"] == request["span_id"]
+        ) == ["cache.lookup", "cache.replay"]
 
     def test_no_sink_means_no_trace_ids(self):
         engine = RoutingEngine(EngineConfig(jobs=1))

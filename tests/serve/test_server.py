@@ -86,7 +86,8 @@ def test_fanin_digest_matches_offline_engine():
 
 
 def test_trace_spans_link_client_server_engine():
-    """Acceptance: one connected span tree per request, client->worker."""
+    """Acceptance: one connected span tree per request, client->worker,
+    and a traced repeat is answered on the cache fast path."""
     corpus = build_corpus(4, seed=7)
     sink = ListTraceSink()
 
@@ -97,15 +98,24 @@ def test_trace_spans_link_client_server_engine():
                 "127.0.0.1", server.port, timeout=30,
                 trace_sink=sink, seed=7,
             ) as client:
-                return await client.route_many(
-                    [(c, s) for c, s, _ in corpus],
-                    max_segments=[k for _, _, k in corpus],
-                )
+                passes = []
+                for _ in range(2):
+                    results = await client.route_many(
+                        [(c, s) for c, s, _ in corpus],
+                        max_segments=[k for _, _, k in corpus],
+                    )
+                    passes.append((
+                        results, len(sink.spans),
+                        server.metrics_snapshot()["counters"],
+                    ))
+        return passes
 
-    results = asyncio.run(main())
-    assert all(r.status == STATUS_OK for r in results)
+    (first, n_first, after_first), (second, _, after_second) = asyncio.run(
+        main()
+    )
+    assert all(r.status == STATUS_OK for r in first + second)
 
-    traces = build_traces(sink.spans)
+    traces = build_traces(sink.spans[:n_first])
     assert len(traces) == len(corpus)  # one connected tree per request
     for trace in traces.values():
         trace.validate()  # every parent link resolves, exactly one root
@@ -124,6 +134,59 @@ def test_trace_spans_link_client_server_engine():
         assert by_id[serve_span["parent_id"]]["name"] == "client.request"
         assert by_id[engine_span["parent_id"]]["name"] == "serve.request"
         assert serve_span["attrs"]["status"] == STATUS_OK
+
+    # The repeats took the fast path, traced, with no batcher window.
+    assert (
+        after_second["serve.cache_fastpath"]
+        - after_first.get("serve.cache_fastpath", 0)
+    ) == len(corpus)
+    assert after_second["serve.batches"] == after_first["serve.batches"]
+    repeats = build_traces(sink.spans[n_first:])
+    assert len(repeats) == len(corpus)
+    for trace in repeats.values():
+        trace.validate()
+        by_id = trace.by_id
+        (engine_span,) = [s for s in trace.spans if s["name"] == "request"]
+        serve_span = by_id[engine_span["parent_id"]]
+        assert serve_span["name"] == "serve.request"
+        assert by_id[serve_span["parent_id"]] is trace.root
+        assert trace.root["name"] == "client.request"
+        assert engine_span["attrs"]["cache"] == "hit"
+        children = sorted(
+            s["name"] for s in trace.spans
+            if s["parent_id"] == engine_span["span_id"]
+        )
+        assert children == ["cache.lookup", "cache.replay"]
+
+
+def test_traced_and_untraced_servers_agree():
+    """A trace sink changes neither the path nor the answer: the same
+    misses-then-repeats sequence gives the same counters and digest."""
+    corpus = build_corpus(5, seed=3)
+
+    async def run(sink):
+        server = RoutingServer(_config(seed=3), trace_sink=sink)
+        async with server:
+            async with AsyncRoutingClient(
+                "127.0.0.1", server.port, timeout=30,
+            ) as client:
+                served = [
+                    await client.route(c, s, max_segments=k)
+                    for _ in range(2) for c, s, k in corpus
+                ]
+            counters = server.metrics_snapshot()["counters"]
+        digest = digest_records(
+            result_record(i, r.ok, r.assignment, r.error_type)
+            for i, r in enumerate(served)
+        )
+        return counters, digest
+
+    sink = ListTraceSink()
+    traced = asyncio.run(run(sink))
+    untraced = asyncio.run(run(None))
+    assert traced == untraced
+    assert traced[0]["serve.cache_fastpath"] == len(corpus)
+    assert sink.spans  # the traced server did trace
 
 
 def test_burst_beyond_queue_bound_sheds_typed_responses():

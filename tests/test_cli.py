@@ -32,6 +32,13 @@ class TestRoute:
         payload = json.loads(capsys.readouterr().out)
         assert payload["channel"]["n_tracks"] == 3
 
+    def test_unreadable_instance_is_one_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.sch")
+        assert main(["route", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read instance: ")
+        assert missing in err and len(err.splitlines()) == 1
+
     def test_weighted(self, instance_file, capsys):
         assert (
             main(["route", instance_file, "--k", "1", "--weight", "length"])
@@ -157,8 +164,21 @@ class TestBatch:
             "error: fault plan sets pool-worker faults (garbage), but "
             "every solve here runs in process\n"
         )
+        # One instance never reaches a pool, whatever --jobs says.
         assert main(["batch", instance_file, "--jobs", "2",
+                     "--inject-faults", "garbage=0.2,seed=1"]) == 1
+        assert "runs in process" in capsys.readouterr().err
+        assert main(["batch", instance_file, "@example1-q", "--jobs", "2",
                      "--inject-faults", "garbage=0.2,seed=1"]) == 0
+
+    def test_batch_unreadable_instance_is_one_error_line(
+        self, instance_file, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.sch")
+        assert main(["batch", instance_file, missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read instance: ")
+        assert missing in err and len(err.splitlines()) == 1
 
     def test_batch_bad_manifest_line(self, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"
